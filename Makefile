@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check audit-check race-chaos bench-read bench-scale bench-shards bench-hotspot bench-diff alloc-gate trace-check clean
+.PHONY: build test check flake-check audit-check race-chaos bench-read bench-scale bench-shards bench-hotspot bench-diff alloc-gate trace-check clean
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,12 @@ check: build
 	$(GO) test ./...
 	$(GO) test -race ./internal/audit/ ./internal/chaos/ ./internal/core/ ./internal/dfs/ ./internal/memcache/ ./internal/mq/ ./internal/obs/ ./internal/rpc/
 	$(GO) test -run '^$$' -bench 'ReaddirBarrier' -benchtime 1x ./internal/core/
+
+# flake-check reruns the packages with real concurrency twenty times,
+# uncached, so a test that fails one run in twenty fails the build the
+# day it appears instead of scrolling past as a retry.
+flake-check: build
+	$(GO) test -count=20 ./internal/mq/ ./internal/core/ ./internal/chaos/ ./internal/dfs/ ./internal/bench/
 
 # audit-check is the divergence gate: the chaos suite runs with the
 # post-drain auditor as a second convergence oracle (any divergent or

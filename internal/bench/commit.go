@@ -5,19 +5,18 @@ import (
 	"fmt"
 	"time"
 
-	"pacon/internal/core"
 	"pacon/internal/obs"
 	"pacon/internal/vclock"
 	"pacon/internal/workload"
 )
 
 // The commit experiment measures the commit path's round-trip economy:
-// the same create/write/remove workload runs against the legacy commit
-// configuration (client-side Get+CAS cache bookkeeping, op-at-a-time
-// dequeue, no coalescing) and the batched one (server-side conditional
-// cache ops, dequeue batches, same-path coalescing, apply_batch), and
-// the report compares cache round trips per created file, backend round
-// trips, and end-to-end virtual throughput including the drain.
+// a create/write/remove workload runs against the shipped commit
+// configuration (server-side conditional cache ops, dequeue batches,
+// same-path coalescing, apply_batch), and the report records cache
+// round trips per created file, backend round trips, and end-to-end
+// virtual throughput including the drain. The comparison against the
+// retired client-side Get+CAS commit path is frozen in EXPERIMENTS.md.
 func init() {
 	register("commit", func(cfg Config) ([]*Figure, error) {
 		_, figs, err := RunCommit(cfg)
@@ -25,7 +24,8 @@ func init() {
 	})
 }
 
-// CommitVariant is one side of the commit experiment.
+// CommitVariant is one configuration's measurements in the commit
+// experiment (also one point of its shard sweep).
 type CommitVariant struct {
 	OpsSubmitted int64 `json:"ops_submitted"`
 	Creates      int64 `json:"creates"`
@@ -71,15 +71,7 @@ type CommitReport struct {
 	Experiment     string        `json:"experiment"`
 	Clients        int           `json:"clients"`
 	ItemsPerClient int           `json:"items_per_client"`
-	Legacy         CommitVariant `json:"legacy"`
 	Batched        CommitVariant `json:"batched"`
-	// CacheRPCReduction = legacy/batched cache RPCs per create (the
-	// acceptance bar is >= 2x).
-	CacheRPCReduction float64 `json:"cache_rpc_reduction"`
-	// BackendRPCReduction = legacy/batched backend round trips.
-	BackendRPCReduction float64 `json:"backend_rpc_reduction"`
-	// ThroughputGain = batched/legacy virtual throughput.
-	ThroughputGain float64 `json:"throughput_gain"`
 	// ShardSweep reruns the batched commit wave at the configured MDS
 	// shard counts (subtree-partitioned metadata service).
 	ShardSweep *ShardSweep `json:"shard_sweep,omitempty"`
@@ -123,10 +115,10 @@ func defaultCommitPhase(payload []byte) commitPhase {
 	}
 }
 
-// runCommitVariant drives the workload against one region configuration
-// and collects the variant's counters. A nil phase runs the default
-// create+write+remove mix.
-func runCommitVariant(cfg Config, clients int, mutate func(*core.RegionConfig), o *obs.Obs, phase commitPhase) (CommitVariant, error) {
+// runCommitVariant drives the workload against the shipped region
+// configuration and collects the variant's counters. A nil phase runs
+// the default create+write+remove mix.
+func runCommitVariant(cfg Config, clients int, o *obs.Obs, phase commitPhase) (CommitVariant, error) {
 	e := newEnv(cfg, cfg.nodesFor(clients))
 	defer e.close()
 	if o != nil {
@@ -135,7 +127,7 @@ func runCommitVariant(cfg Config, clients int, mutate func(*core.RegionConfig), 
 	if err := e.provision("/w"); err != nil {
 		return CommitVariant{}, err
 	}
-	cls, err := e.paconVariantClients(clients, "/w", mutate)
+	cls, err := e.paconVariantClients(clients, "/w", nil)
 	if err != nil {
 		return CommitVariant{}, err
 	}
@@ -220,57 +212,28 @@ func runCommitVariant(cfg Config, clients int, mutate func(*core.RegionConfig), 
 	return v, nil
 }
 
-// RunCommit executes both variants and derives the comparison report.
+// RunCommit executes the commit experiment and derives its report.
 func RunCommit(cfg Config) (*CommitReport, []*Figure, error) {
 	clients := cfg.nodesFor(cfg.MaxNodes*cfg.ClientsPerNode) * cfg.ClientsPerNode / 2
 	if clients < 2 {
 		clients = 2
 	}
-
-	// Each variant gets its own sink so the stage quantiles in the
-	// report are per-variant, not pooled.
-	legacy, err := runCommitVariant(cfg, clients, func(rc *core.RegionConfig) {
-		rc.ClientSideCommitOps = true
-		rc.DisableCoalesce = true
-		rc.CommitBatchSize = 1
-	}, obs.New(), nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("commit legacy variant: %w", err)
-	}
-	batched, err := runCommitVariant(cfg, clients, nil, obs.New(), nil)
+	batched, err := runCommitVariant(cfg, clients, obs.New(), nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("commit batched variant: %w", err)
 	}
-
 	rep := &CommitReport{
-		Experiment:     "commit-path round trips: legacy vs conditional+coalesced+batched",
+		Experiment:     "commit-path round trips: conditional+coalesced+batched",
 		Clients:        clients,
 		ItemsPerClient: cfg.ItemsPerClient,
-		Legacy:         legacy,
 		Batched:        batched,
-	}
-	if batched.CacheRPCsPerCreate > 0 {
-		rep.CacheRPCReduction = legacy.CacheRPCsPerCreate / batched.CacheRPCsPerCreate
-	}
-	if batched.BackendRPCs > 0 {
-		rep.BackendRPCReduction = float64(legacy.BackendRPCs) / float64(batched.BackendRPCs)
-	}
-	if legacy.VirtualOPS > 0 {
-		rep.ThroughputGain = batched.VirtualOPS / legacy.VirtualOPS
 	}
 
 	f := &Figure{
-		ID: "commit", Title: "Commit path: legacy vs conditional+coalesced+batched",
+		ID: "commit", Title: "Commit path: conditional+coalesced+batched",
 		XLabel: "variant", YLabel: "see series",
 		Series: []string{"cacheRPCs/create", "backendRPCs", "committed", "coalesced", "virtualOPS"},
 	}
-	f.AddPoint("legacy", map[string]float64{
-		"cacheRPCs/create": legacy.CacheRPCsPerCreate,
-		"backendRPCs":      float64(legacy.BackendRPCs),
-		"committed":        float64(legacy.OpsCommitted),
-		"coalesced":        float64(legacy.Coalesced),
-		"virtualOPS":       legacy.VirtualOPS,
-	})
 	f.AddPoint("batched", map[string]float64{
 		"cacheRPCs/create": batched.CacheRPCsPerCreate,
 		"backendRPCs":      float64(batched.BackendRPCs),
@@ -278,17 +241,12 @@ func RunCommit(cfg Config) (*CommitReport, []*Figure, error) {
 		"coalesced":        float64(batched.Coalesced),
 		"virtualOPS":       batched.VirtualOPS,
 	})
-	f.Note("cache round trips per created file: %.2f -> %.2f (%.1fx reduction)",
-		legacy.CacheRPCsPerCreate, batched.CacheRPCsPerCreate, rep.CacheRPCReduction)
-	f.Note("backend round trips: %d -> %d (%.1fx; %d ops rode %d apply_batch RPCs)",
-		legacy.BackendRPCs, batched.BackendRPCs, rep.BackendRPCReduction,
-		batched.BatchedOps, batched.BatchRPCs)
-	f.Note("virtual throughput incl. drain: %.0f -> %.0f ops/s (%.2fx)",
-		legacy.VirtualOPS, batched.VirtualOPS, rep.ThroughputGain)
-	if legacy.Staleness != nil && batched.Staleness != nil {
-		f.Note("peak commit lag (wall): legacy %v, batched %v",
-			time.Duration(legacy.Staleness.PeakCommitLagNS),
-			time.Duration(batched.Staleness.PeakCommitLagNS))
+	f.Note("cache round trips per created file: %.2f", batched.CacheRPCsPerCreate)
+	f.Note("backend round trips: %d (%d ops rode %d apply_batch RPCs)",
+		batched.BackendRPCs, batched.BatchedOps, batched.BatchRPCs)
+	f.Note("virtual throughput incl. drain: %.0f ops/s", batched.VirtualOPS)
+	if batched.Staleness != nil {
+		f.Note("peak commit lag (wall): %v", time.Duration(batched.Staleness.PeakCommitLagNS))
 	}
 	if len(cfg.ShardSweep) > 0 {
 		sweep, err := runCommitShardSweep(cfg, cfg.ShardSweep)

@@ -143,7 +143,7 @@ func runCommitShardSweep(cfg Config, counts []int) (*ShardSweep, error) {
 	for _, n := range counts {
 		scfg := cfg
 		scfg.MDSShards = n
-		v, err := runCommitVariant(scfg, clients, nil, obs.New(), shardSweepPhase)
+		v, err := runCommitVariant(scfg, clients, obs.New(), shardSweepPhase)
 		if err != nil {
 			return nil, fmt.Errorf("shard sweep %d shards: %w", n, err)
 		}
@@ -171,7 +171,7 @@ func runReadShardSweep(cfg Config, counts []int) (*ShardSweep, error) {
 	for _, n := range counts {
 		scfg := cfg
 		scfg.MDSShards = n
-		v, err := runReadVariant(scfg, clients, nil, obs.New())
+		v, err := runReadVariant(scfg, clients, obs.New())
 		if err != nil {
 			return nil, fmt.Errorf("read shard sweep %d shards: %w", n, err)
 		}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,9 +79,6 @@ type Config struct {
 	// DisableCoalesce turns off dequeue-time op merging, pinning the
 	// uncoalesced commit path under the same schedules.
 	DisableCoalesce bool
-	// ClientSideCommitOps forces the legacy Get+CAS cache bookkeeping
-	// loops instead of the server-side conditional ops.
-	ClientSideCommitOps bool
 	// LoseOneCommit deliberately breaks the schedule: the first DFS
 	// create the commit side applies reports success without ever
 	// reaching the DFS. The run must then end with violations — the
@@ -169,14 +167,24 @@ type injector struct {
 	injected   int
 	stalls     int
 
-	// Shard kill/recover plan (KillShard schedules): the call counter
-	// crossing killAt downs the victim shard, crossing recoverAt brings
-	// it back — commit retries to the dead shard keep the counter
-	// moving, so recovery always lands inside the drain budget.
-	killAt, recoverAt     int
-	killOnce, recoverOnce sync.Once
-	killFn, recoverFn     func()
+	// Shard kill/recover plan (KillShard schedules): once the call
+	// counter passes killAt, the first commit batch bound for the
+	// victim shard downs it just before the batch is forwarded (see
+	// flakyBackend.ApplyBatch), and the counter moving killWindow calls
+	// further brings it back. Commit retries to the dead shard keep the
+	// counter moving, so recovery always lands inside the drain budget.
+	// Guarded by mu.
+	killAt, recoverAt int
+	killed, recovered bool
+	killFn, recoverFn func()
 }
+
+// killZone is the directory whose owning MDS shard KillShard schedules
+// take down: the busiest zone of the workload.
+const killZone = "/w/shared"
+
+// killWindow is how many backend calls a killed shard stays down.
+const killWindow = 80
 
 func newInjector(cfg Config) *injector {
 	return &injector{
@@ -190,9 +198,7 @@ func newInjector(cfg Config) *injector {
 
 func (in *injector) fail(path string) bool {
 	in.mu.Lock()
-	in.calls++
-	c := in.calls
-	stall := in.calls%in.stallEvery == 0
+	stall := in.countLocked()%in.stallEvery == 0
 	inject := in.perPath[path] < in.maxPerPath && in.rng.Float64() < in.rate
 	if inject {
 		in.perPath[path]++
@@ -202,28 +208,57 @@ func (in *injector) fail(path string) bool {
 		in.stalls++
 	}
 	in.mu.Unlock()
-	if in.killFn != nil && c >= in.killAt {
-		in.killOnce.Do(in.killFn)
-	}
-	if in.recoverFn != nil && c >= in.recoverAt {
-		in.recoverOnce.Do(in.recoverFn)
-	}
 	if stall {
 		time.Sleep(100 * time.Microsecond) // commit-queue stall
 	}
 	return inject
 }
 
+// countLocked advances the call counter, recovering a killed shard whose
+// window has closed, and returns the new count. Caller holds mu.
+func (in *injector) countLocked() int {
+	in.calls++
+	if in.killed && !in.recovered && in.calls >= in.recoverAt {
+		in.recovered = true
+		in.recoverFn()
+	}
+	return in.calls
+}
+
+// tick counts a backend call that is never failed, so a kill window
+// also closes while only inline write-backs retry against the dead
+// shard.
+func (in *injector) tick() {
+	in.mu.Lock()
+	in.countLocked()
+	in.mu.Unlock()
+}
+
+// killBeforeBatch downs the victim shard if the kill is due.
+func (in *injector) killBeforeBatch() {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.killFn == nil || in.killed || in.calls < in.killAt {
+		return
+	}
+	in.killed = true
+	in.recoverAt = in.calls + killWindow
+	in.killFn()
+}
+
+func inKillZone(p string) bool { return strings.HasPrefix(p, killZone+"/") }
+
 // forceRecover ends the kill window deterministically: no further kill
 // can fire, and the victim shard is recovered if it is still down. Run
 // calls this after the workload, before the drain — the drain and the
 // convergence oracles must see the full pool.
 func (in *injector) forceRecover() {
-	if in.recoverFn == nil {
-		return
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.killed && !in.recovered {
+		in.recoverFn()
 	}
-	in.killOnce.Do(func() {})
-	in.recoverOnce.Do(in.recoverFn)
+	in.killed, in.recovered = true, true
 }
 
 func (in *injector) counts() (injected, stalls int) {
@@ -244,6 +279,11 @@ type flakyBackend struct {
 	// lose, when armed, makes exactly one create lie "committed"
 	// without reaching the DFS — the Config.LoseOneCommit self-test.
 	lose *atomic.Bool
+	// zoneWarm records that a batch of this (single-goroutine) commit
+	// client applied an op inside killZone: the client has the zone's
+	// ancestors in its dentry cache, so its next zone batch reaches the
+	// owning shard as one RPC instead of failing per op in resolution.
+	zoneWarm bool
 }
 
 // SetTrace/ClearTrace forward the span tag to the wrapped DFS client:
@@ -270,6 +310,12 @@ func (f *flakyBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (
 		return at, fsapi.ErrNotExist
 	}
 	return f.Backend.CreateWithStat(at, p, st)
+}
+
+// WriteAt is never failed (see flakyBackend), only counted.
+func (f *flakyBackend) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
+	f.inj.tick()
+	return f.Backend.WriteAt(at, p, off, data)
 }
 
 func (f *flakyBackend) SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
@@ -309,12 +355,20 @@ func (f *flakyBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error,
 	if len(fwd) == 0 {
 		return errs, at, nil
 	}
+	if f.zoneWarm && slices.ContainsFunc(fwd, func(op fsapi.BatchOp) bool { return inKillZone(op.Path) }) {
+		// A kill here provably meets a queued batch: this very batch
+		// hits the dead shard and degrades to the singleton fallback.
+		f.inj.killBeforeBatch()
+	}
 	ferrs, done, err := f.Backend.ApplyBatch(at, fwd)
 	if err != nil {
 		return nil, done, err
 	}
 	for j, i := range idx {
 		errs[i] = ferrs[j]
+		if ferrs[j] == nil && inKillZone(fwd[j].Path) {
+			f.zoneWarm = true
+		}
 	}
 	return errs, done, nil
 }
@@ -741,11 +795,11 @@ func Run(cfg Config) (Result, error) {
 
 	inj := newInjector(cfg)
 	if cfg.KillShard && cfg.Shards > 1 {
-		// Down the shard owning the busiest zone (/w/shared) mid-run,
-		// recover it once the counter has moved on. Retries to the dead
-		// shard advance the counter, so the window always closes.
-		victim := cluster.Shards.Owner("/w/shared")
-		inj.killAt, inj.recoverAt = 40, 120
+		// Down the shard owning the busiest zone mid-run, under a
+		// commit batch bound for it, and recover it once the counter
+		// has moved on.
+		victim := cluster.Shards.Owner(killZone)
+		inj.killAt = 40
 		inj.killFn = func() { cluster.KillShard(victim) }
 		inj.recoverFn = func() { cluster.RecoverShard(victim) }
 	}
@@ -772,16 +826,15 @@ func Run(cfg Config) (Result, error) {
 		retryLimit = 512
 	}
 	region, err := core.NewRegion(core.RegionConfig{
-		Name:                "chaos",
-		Workspace:           "/w",
-		Nodes:               nodes,
-		Cred:                appCred,
-		CacheCapacityBytes:  cfg.CacheCapacityBytes,
-		CommitRetryLimit:    retryLimit,
-		CommitBatchSize:     cfg.CommitBatchSize,
-		ShardCount:          cfg.Shards,
-		DisableCoalesce:     cfg.DisableCoalesce,
-		ClientSideCommitOps: cfg.ClientSideCommitOps,
+		Name:               "chaos",
+		Workspace:          "/w",
+		Nodes:              nodes,
+		Cred:               appCred,
+		CacheCapacityBytes: cfg.CacheCapacityBytes,
+		CommitRetryLimit:   retryLimit,
+		CommitBatchSize:    cfg.CommitBatchSize,
+		ShardCount:         cfg.Shards,
+		DisableCoalesce:    cfg.DisableCoalesce,
 		// Sample every span: a failing seed's flight dump must contain
 		// the violating op's cross-node timeline, not a 1/64 lottery.
 		TraceSampleN: 1,

@@ -30,16 +30,13 @@ func configFor(seed int) Config {
 		cfg.CacheCapacityBytes = 4096
 	}
 	// Commit-path variants: most seeds run the default batched+coalesced
-	// path; a slice pins the legacy configurations so the sweep keeps
-	// covering op-at-a-time dequeue, uncoalesced batches and the
-	// client-side Get+CAS loops.
+	// path; a slice pins the other configurations so the sweep keeps
+	// covering op-at-a-time dequeue and uncoalesced batches.
 	switch seed % 7 {
 	case 2:
 		cfg.CommitBatchSize = 1
 	case 4:
 		cfg.DisableCoalesce = true
-	case 6:
-		cfg.ClientSideCommitOps = true
 	}
 	return cfg
 }

@@ -146,10 +146,9 @@ func BenchmarkReaddirBarrier(b *testing.B) {
 
 // BenchmarkReaddirBarrierSiblingWriter measures the scoped-barrier win:
 // a writer floods /w/sib from another node while we list /w/hot. With
-// scoped barriers the listings never wait for the sibling queue; run
-// with -tags or the bench harness's DisableScopedBarrier ablation to
-// see the full-drain cost. Also runs as a short-mode smoke in `make
-// check` (-benchtime=1x).
+// scoped barriers the listings never wait for the sibling queue
+// (EXPERIMENTS.md keeps the retired full-drain comparison). Also runs
+// as a short-mode smoke in `make check` (-benchtime=1x).
 func BenchmarkReaddirBarrierSiblingWriter(b *testing.B) {
 	region, c := benchEnv(b, 2)
 	now := vclock.Time(0)

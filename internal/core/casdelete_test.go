@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"pacon/internal/fsapi"
@@ -13,27 +12,18 @@ import (
 )
 
 // Regression tests for the lost-update races in the cleanup paths: every
-// site that used to Get → decode → Delete unconditionally now re-checks
-// under CAS (deleteIf). Each test uses the region's delete hook to
-// interleave a conflicting write exactly inside the read/delete window —
-// the schedule on which the seed code silently destroyed the newer
-// value.
+// site that used to Get → decode → Delete unconditionally now issues one
+// server-side conditional op (deleteIf, clearDirty) that the cache
+// server evaluates under its shard lock. A conflicting write therefore
+// either lands before the conditional op — which must then see it and
+// keep the entry — or after it, on a key the op no longer touches. Each
+// test stores the conflicting (newer) value first and then runs the
+// cleanup path: on the server that is the whole race.
 
 // rawCache returns a memcache client on the region's ring for direct
 // white-box manipulation of cache values.
 func rawCache(e *env) *memcache.Client {
 	return memcache.NewClient(rpc.NewCaller(e.bus, vclock.Default(), "node0"), e.region.Ring())
-}
-
-// hookOnce installs a delete hook that fires fn exactly once, when the
-// cleanup loop reaches `path`.
-func hookOnce(r *Region, path string, fn func()) {
-	var once sync.Once
-	r.SetDeleteHook(func(p string) {
-		if p == path {
-			once.Do(fn)
-		}
-	})
 }
 
 func findEntry(t *testing.T, r *Region, path string) (CacheEntry, bool) {
@@ -50,11 +40,10 @@ func findEntry(t *testing.T, r *Region, path string) (CacheEntry, bool) {
 	return CacheEntry{}, false
 }
 
-// TestEvictionKeepsRacingDirtyWrite reproduces the dirty-entry eviction
-// race deterministically: a SetStat (inline write) lands between
-// eviction's cleanliness check and its delete. The entry is the primary
-// copy of that write — the unguarded delete of the seed code lost it;
-// the CAS-guarded delete must observe ErrStale, re-check, and keep it.
+// TestEvictionKeepsRacingDirtyWrite: a SetStat (inline write) dirties a
+// clean committed entry just before eviction reaches it. The entry is
+// the primary copy of that write — an unguarded delete would lose it;
+// eviction's clean-only conditional delete must keep it.
 func TestEvictionKeepsRacingDirtyWrite(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	c := e.client(t, "node0")
@@ -74,14 +63,11 @@ func TestEvictionKeepsRacingDirtyWrite(t *testing.T) {
 		t.Fatalf("want clean cached entry before eviction, got %+v ok=%v", ent, ok)
 	}
 
-	// The racing writer: dirties the entry inside the eviction window.
+	// The racing writer dirties the entry ahead of the eviction.
 	writer := e.client(t, "node0")
-	hookOnce(e.region, "/w/victim", func() {
-		if _, werr := writer.WriteAt(at, "/w/victim", 0, []byte("racy-new-data")); werr != nil {
-			t.Errorf("racing write: %v", werr)
-		}
-	})
-	defer e.region.SetDeleteHook(nil)
+	if _, err := writer.WriteAt(at, "/w/victim", 0, []byte("racy-new-data")); err != nil {
+		t.Fatalf("racing write: %v", err)
+	}
 
 	if _, err := e.region.evictSubtree(c, at, "/w/victim", false); err != nil {
 		t.Fatal(err)
@@ -134,9 +120,9 @@ func TestEvictionStillRemovesCleanEntries(t *testing.T) {
 	}
 }
 
-// TestDropOpKeepsNewerIncarnation: dropOp abandons create seq=1 while a
-// newer incarnation (seq=2) replaces the entry inside the read/delete
-// window. The unguarded delete destroyed seq=2; the guard must keep it.
+// TestDropOpKeepsNewerIncarnation: dropOp abandons create seq=1 after a
+// newer incarnation (seq=2) replaced the entry. An unguarded delete
+// destroyed seq=2; the seq condition must keep it.
 func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	mc := rawCache(e)
@@ -146,12 +132,9 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 		t.Fatal(err)
 	}
 	newer := cacheVal{dirty: true, seq: 2, stat: fsapi.NewFileStat(appCred, 0o600)}
-	hookOnce(e.region, "/w/phantom", func() {
-		if _, _, err := mc.Set(0, "/w/phantom", newer.encode(), 0); err != nil {
-			t.Errorf("racing re-create: %v", err)
-		}
-	})
-	defer e.region.SetDeleteHook(nil)
+	if _, _, err := mc.Set(0, "/w/phantom", newer.encode(), 0); err != nil {
+		t.Fatalf("racing re-create: %v", err)
+	}
 
 	now := vclock.Time(0)
 	e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: 1}, &now, mc, nil, dropReasonRetryBudget)
@@ -164,16 +147,15 @@ func TestDropOpKeepsNewerIncarnation(t *testing.T) {
 		t.Fatalf("surviving entry seq = %d, want 2", ent.Seq)
 	}
 	// Without a racing write, the phantom is cleaned as before.
-	e.region.SetDeleteHook(nil)
 	e.region.dropOp(Op{Kind: OpCreate, Path: "/w/phantom", Seq: 2}, &now, mc, nil, dropReasonRetryBudget)
 	if _, ok := findEntry(t, e.region, "/w/phantom"); ok {
 		t.Fatal("abandoned create's entry not cleaned")
 	}
 }
 
-// TestFinishRemoveKeepsNewerIncarnation: a create-after-rm lands between
-// finishRemove's marker check and its delete of the marker. The fresh
-// live entry must survive.
+// TestFinishRemoveKeepsNewerIncarnation: a create-after-rm replaces the
+// removed marker before finishRemove cleans it. The fresh live entry
+// must survive.
 func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	mc := rawCache(e)
@@ -183,12 +165,9 @@ func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := cacheVal{dirty: true, seq: 2, stat: fsapi.NewFileStat(appCred, 0o600)}
-	hookOnce(e.region, "/w/reborn", func() {
-		if _, _, err := mc.Set(0, "/w/reborn", live.encode(), 0); err != nil {
-			t.Errorf("racing create-after-rm: %v", err)
-		}
-	})
-	defer e.region.SetDeleteHook(nil)
+	if _, _, err := mc.Set(0, "/w/reborn", live.encode(), 0); err != nil {
+		t.Fatalf("racing create-after-rm: %v", err)
+	}
 
 	now := vclock.Time(0)
 	e.region.finishRemove(Op{Kind: OpRemove, Path: "/w/reborn", Seq: 1}, &now, mc)
@@ -202,7 +181,6 @@ func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 	}
 
 	// The committed marker itself is still cleaned when unraced.
-	e.region.SetDeleteHook(nil)
 	marker.seq = 3
 	if _, _, err := mc.Set(0, "/w/gone", marker.encode(), 0); err != nil {
 		t.Fatal(err)
@@ -214,9 +192,9 @@ func TestFinishRemoveKeepsNewerIncarnation(t *testing.T) {
 }
 
 // TestDiscardRuleKeepsNewerIncarnation: the rmdir discard rule processes
-// a create whose path got a newer incarnation (created after the rmdir
-// window closed) inside the read/delete window. The seed code deleted it
-// unconditionally; the seq+CAS guard must keep it.
+// a create whose path already got a newer incarnation (created after
+// the rmdir window closed). The seed code deleted it unconditionally;
+// the seq condition must keep it.
 func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
 	e := newEnv(t, 1, nil)
 	mc := rawCache(e)
@@ -230,12 +208,9 @@ func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
 		t.Fatal(err)
 	}
 	newer := cacheVal{dirty: true, seq: 2, stat: fsapi.NewFileStat(appCred, 0o600)}
-	hookOnce(e.region, "/w/doomed/f", func() {
-		if _, _, err := mc.Set(0, "/w/doomed/f", newer.encode(), 0); err != nil {
-			t.Errorf("racing re-create: %v", err)
-		}
-	})
-	defer e.region.SetDeleteHook(nil)
+	if _, _, err := mc.Set(0, "/w/doomed/f", newer.encode(), 0); err != nil {
+		t.Fatalf("racing re-create: %v", err)
+	}
 
 	now := vclock.Time(0)
 	discardedBefore := e.region.Stats().Discarded
@@ -325,30 +300,29 @@ func TestEvictRoundRobinAdvancesByName(t *testing.T) {
 	}
 }
 
-// TestPendingSetReleasesZeroCountPaths: per-path counters must be removed
-// from the map when they reach zero, or the map grows with every path
-// that ever parked over the life of the commit loop.
+// TestPendingSetReleasesZeroCountPaths: a parked path's row must leave
+// the in-flight table when its last op reaches its terminal, or the
+// table grows with every path that ever parked over the life of the
+// commit loop.
 func TestPendingSetReleasesZeroCountPaths(t *testing.T) {
-	var p pendingSet
-	p.add(Op{Path: "/w/a"}, "test")
-	p.add(Op{Path: "/w/a"}, "test")
-	p.add(Op{Path: "/w/b"}, "test")
-	p.release("/w/a")
-	if !p.blocks("/w/a") {
-		t.Fatal("one reference remains — /w/a must still block")
+	table := newInflightTable()
+	p := pendingSet{table: table}
+	for _, path := range []string{"/w/a", "/w/a", "/w/b"} {
+		op := Op{Path: path}
+		table.add(op)
+		p.add(op, "test")
 	}
-	p.release("/w/a")
+	table.release(p.ops[0].op)
+	if !p.blocks("/w/a") {
+		t.Fatal("one parked op remains — /w/a must still block")
+	}
+	table.release(p.ops[1].op)
 	if p.blocks("/w/a") {
 		t.Fatal("released path still blocks")
 	}
-	p.release("/w/b")
-	if len(p.paths) != 0 {
-		t.Fatalf("zero-count keys leaked: %v", p.paths)
-	}
-	// Releasing an unknown path must not resurrect a key.
-	p.release("/w/ghost")
-	if len(p.paths) != 0 {
-		t.Fatalf("release of unknown path left keys: %v", p.paths)
+	table.release(p.ops[2].op)
+	if len(table.paths) != 0 || table.parked != 0 {
+		t.Fatalf("zero-count rows leaked: %v (parked %d)", table.paths, table.parked)
 	}
 }
 

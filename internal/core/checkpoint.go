@@ -170,9 +170,9 @@ func (r *Region) SimulateNodeFailure(node string) int {
 		if !barrier {
 			lost++
 			// The popped op will never reach a commit-loop terminal:
-			// release its path-tracker and lag-tracker entries here, or
-			// scoped barriers would keep waiting on the dead node's paths
-			// and the staleness watermark would grow forever.
+			// release its in-flight table entry here, or scoped barriers
+			// would keep waiting on the dead node's paths and the
+			// staleness watermark would grow forever.
 			r.opTerminal(op)
 		}
 	}

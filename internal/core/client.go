@@ -202,17 +202,11 @@ func (c *Client) pushOpFlagged(at vclock.Time, kind OpKind, p string, st fsapi.S
 		}
 		op.EnqWall = time.Now().UnixNano()
 	}
-	// Track the path before the push: a scoped barrier that snapshots
-	// the tracker between the two sees the op it might have to wait
-	// for; the reverse order would let a marker slip ahead of an
-	// already-queued, still-untracked op. The lag tracker follows the
-	// same contract for the same reason — a commit process could reach
-	// the op's terminal before a post-push add, leaking the timestamp.
-	c.region.trackers[c.node].add(p)
-	c.region.lagAdd(op)
+	// Enter the in-flight table before the push (see inflightTable for
+	// why the order matters); a refused push is the op's terminal.
+	c.region.inflight[c.node].add(op)
 	if err := c.region.queues[c.node].Push(op); err != nil {
-		c.region.trackers[c.node].remove(p)
-		c.region.lagRemove(op)
+		c.region.opTerminal(op)
 		return at, err
 	}
 	if op.Span != 0 && op.Span == c.curSpan {
@@ -583,8 +577,7 @@ func (c *Client) statMerged(at vclock.Time, m remoteRegion, p string) (fsapi.Sta
 // the next reader; merged-peer paths read the peer's cache the same
 // way but stay strictly read-only; everything else goes to the DFS
 // per path. Results align with paths — per-path failures land in their
-// StatResult, they never fail the batch. With ReadBatchSize 1 (the
-// ablation baseline) every path takes the per-key Stat path instead.
+// StatResult, they never fail the batch.
 func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time, error) {
 	defer c.opEnd(c.opStart())
 	r := c.region
@@ -592,15 +585,6 @@ func (c *Client) StatMulti(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 	cleaned := make([]string, len(paths))
 	for i, p := range paths {
 		cleaned[i] = namespace.Clean(p)
-	}
-	if r.cfg.ReadBatchSize <= 1 {
-		// Per-key baseline: exactly what N application Stat calls cost.
-		for i, p := range cleaned {
-			st, done, err := c.Stat(at, p)
-			at = done
-			out[i] = fsapi.StatResult{Stat: st, Err: err}
-		}
-		return out, at, nil
 	}
 	at = c.overhead(at)
 
@@ -681,9 +665,14 @@ func decodeStatResult(p string, raw []byte) fsapi.StatResult {
 	return fsapi.StatResult{Stat: v.stat}
 }
 
+// readBatchSize caps how many paths a batched read (StatMulti, readdir
+// cache warming, merged-peer reads) packs into one multi-key cache
+// round trip.
+const readBatchSize = 64
+
 // statBatchCached resolves cleaned, permission-checked workspace paths
 // with the batched read pipeline: get_multi over the owning cache
-// servers (chunked by ReadBatchSize), a bulk authoritative miss-load,
+// servers (chunked by readBatchSize), a bulk authoritative miss-load,
 // and an add_multi warm of what the misses produced. A dead owner
 // degrades only its own keys — they fall back to one per-key get each
 // and, failing that, to the DFS load, so a partial cache outage slows
@@ -691,9 +680,8 @@ func decodeStatResult(p string, raw []byte) fsapi.StatResult {
 func (c *Client) statBatchCached(at vclock.Time, paths []string) ([]fsapi.StatResult, vclock.Time) {
 	r := c.region
 	out := make([]fsapi.StatResult, len(paths))
-	size := r.cfg.ReadBatchSize
-	for start := 0; start < len(paths); start += size {
-		end := start + size
+	for start := 0; start < len(paths); start += readBatchSize {
+		end := start + readBatchSize
 		if end > len(paths) {
 			end = len(paths)
 		}
@@ -826,9 +814,8 @@ func (c *Client) warmEntries(at vclock.Time, entries []memcache.AddEntry, gen ui
 func (c *Client) statMultiMerged(at vclock.Time, m remoteRegion, paths []string) ([]fsapi.StatResult, vclock.Time) {
 	out := make([]fsapi.StatResult, len(paths))
 	rc := c.remoteCache(m)
-	size := c.region.cfg.ReadBatchSize
-	for start := 0; start < len(paths); start += size {
-		end := start + size
+	for start := 0; start < len(paths); start += readBatchSize {
+		end := start + readBatchSize
 		if end > len(paths) {
 			end = len(paths)
 		}
@@ -897,6 +884,13 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 			if cerr == nil {
 				return c.pushOp(at, OpRemove, p, fsapi.Stat{}, seq)
 			}
+			if errors.Is(cerr, fsapi.ErrOutOfSpace) {
+				// A marker can outgrow its entry (a longer seq varint).
+				if at, err = r.evictRound(c, at); err != nil {
+					return at, err
+				}
+				continue
+			}
 			if !errors.Is(cerr, fsapi.ErrStale) && !errors.Is(cerr, fsapi.ErrNotExist) {
 				return at, cerr
 			}
@@ -919,6 +913,13 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 			at = done
 			if aerr == nil {
 				return c.pushOp(at, OpRemove, p, fsapi.Stat{}, seq)
+			}
+			if errors.Is(aerr, fsapi.ErrOutOfSpace) {
+				// The marker needs room like any insert (§III.F).
+				if at, err = r.evictRound(c, at); err != nil {
+					return at, err
+				}
+				continue
 			}
 			if !errors.Is(aerr, fsapi.ErrExist) {
 				return at, aerr
@@ -1061,7 +1062,7 @@ func (c *Client) Readdir(at vclock.Time, p string) ([]fsapi.DirEntry, vclock.Tim
 	if o := r.obs; o != nil {
 		o.Hist(obs.HistReaddirEntries).RecordN(int64(len(ents)))
 	}
-	if r.cfg.ReadBatchSize > 1 && len(ents) > 0 {
+	if len(ents) > 0 {
 		// Warm the cache from the listing. Safe after the release: the
 		// stats come from fresh DFS reads under statBatchCached's
 		// invalidation-generation guard, and the inserts are

@@ -171,20 +171,22 @@ func runCommitWorkload(t *testing.T, mutate func(*RegionConfig)) RegionStats {
 	return e.region.Stats()
 }
 
-// TestCommitPathRoundTripReduction pins the PR's headline number: the
-// batched+coalesced+conditional commit path spends at most half the cache
-// round trips per committed op that the legacy path (client-side Get+CAS
-// loops, no coalescing, op-at-a-time dequeue) does on the same workload.
+// TestCommitPathRoundTripReduction pins the commit path's round-trip
+// economy on one workload. Backend: dequeue batching plus coalescing
+// must spend fewer DFS round trips than the op-at-a-time, uncoalesced
+// loop (CommitBatchSize 1 + DisableCoalesce). Cache: the server-side
+// conditional ops finish every committed op's bookkeeping in at most one
+// cache round trip. (The retired client-side Get+CAS loops spent two;
+// EXPERIMENTS.md keeps that measurement.)
 func TestCommitPathRoundTripReduction(t *testing.T) {
-	legacy := runCommitWorkload(t, func(cfg *RegionConfig) {
-		cfg.ClientSideCommitOps = true
+	serial := runCommitWorkload(t, func(cfg *RegionConfig) {
 		cfg.DisableCoalesce = true
 		cfg.CommitBatchSize = 1
 	})
 	tuned := runCommitWorkload(t, nil)
 
-	if legacy.Committed == 0 || tuned.Committed == 0 {
-		t.Fatalf("workload committed nothing: legacy %+v tuned %+v", legacy, tuned)
+	if serial.Committed == 0 || tuned.Committed == 0 {
+		t.Fatalf("workload committed nothing: serial %+v tuned %+v", serial, tuned)
 	}
 	if tuned.Coalesced == 0 {
 		t.Fatalf("tuned run never coalesced: %+v", tuned)
@@ -192,17 +194,13 @@ func TestCommitPathRoundTripReduction(t *testing.T) {
 	if tuned.BatchRPCs == 0 || tuned.BatchedOps == 0 {
 		t.Fatalf("tuned run never used apply_batch: %+v", tuned)
 	}
-	// Both runs execute the identical client workload, so total cache
-	// round trips spent committing it are directly comparable. (Per
-	// committed op would be unfair to coalescing, which shrinks the
-	// denominator too: a merged create+setstat is one committed op.)
-	t.Logf("cache RPCs for the workload: legacy %d over %d commits, tuned %d over %d commits",
-		legacy.CacheRPCs, legacy.Committed, tuned.CacheRPCs, tuned.Committed)
-	if legacy.CacheRPCs < 2*tuned.CacheRPCs {
-		t.Fatalf("cache round trips only dropped %.2fx (legacy %d, tuned %d), want >=2x",
-			float64(legacy.CacheRPCs)/float64(tuned.CacheRPCs), legacy.CacheRPCs, tuned.CacheRPCs)
+	t.Logf("backend RPCs: serial %d, tuned %d; tuned cache RPCs %d over %d commits",
+		serial.BackendRPCs, tuned.BackendRPCs, tuned.CacheRPCs, tuned.Committed)
+	if tuned.BackendRPCs >= serial.BackendRPCs {
+		t.Fatalf("batching did not reduce backend RPCs: serial %d, tuned %d", serial.BackendRPCs, tuned.BackendRPCs)
 	}
-	if tuned.BackendRPCs >= legacy.BackendRPCs {
-		t.Fatalf("batching did not reduce backend RPCs: legacy %d, tuned %d", legacy.BackendRPCs, tuned.BackendRPCs)
+	if tuned.CacheRPCs > tuned.Committed {
+		t.Fatalf("commit bookkeeping spent %d cache RPCs for %d committed ops, want <= 1 each",
+			tuned.CacheRPCs, tuned.Committed)
 	}
 }

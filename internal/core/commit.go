@@ -19,13 +19,13 @@ type pendingOp struct {
 	attempts int
 }
 
-// pendingSet keeps failed ops in arrival order plus a per-path count so
-// later same-path ops can be held back. region and ring are the
-// observability seam (both may be nil: disabled observability, or
-// white-box tests building a bare set).
+// pendingSet keeps one node's parked ops in arrival order. The node's
+// in-flight table counts them per path, so later same-path ops can be
+// held back (blocks), and releases each count at the op's terminal.
+// ring is the observability seam (nil when observability is disabled).
 type pendingSet struct {
 	ops   []pendingOp
-	paths map[string]int
+	table *inflightTable
 
 	region *Region
 	ring   *obs.Ring
@@ -35,35 +35,19 @@ type pendingSet struct {
 // distinguish an op held for per-path ordering from one that actually
 // failed and awaits resubmission.
 func (p *pendingSet) add(op Op, why string) {
-	// Parked ops are always tail-kept by the sampler at their terminal;
-	// the flag rides the stored copy through retries.
+	// The flag rides the stored copy through retries to the op's
+	// terminal, where it releases the table's parked count; the sampler
+	// also tail-keeps parked ops.
 	op.Parked = true
-	if p.paths == nil {
-		p.paths = make(map[string]int)
-	}
 	p.ops = append(p.ops, pendingOp{op: op})
-	p.paths[op.Path]++
-	if p.region != nil {
-		p.region.parked.Add(1)
-		p.region.traceOp(p.ring, op, obs.StagePark, why)
-	}
+	p.table.park(op.Path)
+	p.region.traceOp(p.ring, op, obs.StagePark, why)
 }
 
-// release drops one reference to a parked path, deleting the key when it
-// reaches zero so the map does not grow with every path that ever parked
-// over a long-running commit loop.
-func (p *pendingSet) release(path string) {
-	if n := p.paths[path] - 1; n > 0 {
-		p.paths[path] = n
-	} else {
-		delete(p.paths, path)
-	}
-	if p.region != nil {
-		p.region.parked.Add(-1)
-	}
-}
-
-func (p *pendingSet) blocks(path string) bool { return p.paths[path] > 0 }
+// blocks reports whether a same-path op is parked ahead of path's next
+// op. The node's parked ops are exactly p.ops, so an empty set answers
+// without taking the table lock.
+func (p *pendingSet) blocks(path string) bool { return len(p.ops) > 0 && p.table.blocks(path) }
 
 // commitLoop is one node's commit process: the subscriber of the node's
 // commit queue. It applies operations to the DFS through the node's own
@@ -87,7 +71,7 @@ func (r *Region) commitLoop(node string, backend Backend) {
 	cache := memcache.NewClient(rpc.NewCaller(r.deps.Bus, r.cfg.Model, node), r.ring)
 	ring := r.obsRing(node)
 	var now vclock.Time
-	pending := pendingSet{region: r, ring: ring}
+	pending := pendingSet{table: r.inflight[node], region: r, ring: ring}
 	coalesceScratch := make(map[string]int, r.cfg.CommitBatchSize)
 	// batchBuf is the dequeue buffer, reused across PopBatchInto calls:
 	// everything downstream (coalescing, wave construction, parking)
@@ -95,7 +79,7 @@ func (r *Region) commitLoop(node string, backend Backend) {
 	// the time the loop re-enters.
 	var batchBuf []Op
 
-	// onMerge retires the absorbed op: its path-tracker reference is
+	// onMerge retires the absorbed op: its in-flight table entry is
 	// released (the survivor carries the path to its own terminal) and,
 	// when tracing, its coalesce event recorded — its effect now rides
 	// the surviving op's span.
@@ -309,7 +293,6 @@ func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend
 				p.attempts++
 				if p.attempts >= r.cfg.CommitRetryLimit {
 					r.dropOp(p.op, now, cache, pending.ring, dropReasonRetryBudget)
-					pending.release(p.op.Path)
 					continue
 				}
 			}
@@ -320,7 +303,6 @@ func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend
 			kept = append(kept, p)
 		} else {
 			r.traceOp(pending.ring, p.op, obs.StageUnpark, "")
-			pending.release(p.op.Path)
 		}
 	}
 	pending.ops = kept
@@ -430,19 +412,23 @@ func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time,
 	case errors.Is(err, fsapi.ErrExist):
 		// Three cases share this error. (1) The file was materialized
 		// early by the large-file transition (§III.D.2) — that path
-		// clears the dirty bit, so a clean live entry with our seq
-		// means the DFS copy is ours: done. (2) The op is marked
-		// create-after-rm: an earlier incarnation's remove is still
-		// queued (possibly on another node) — our entry is still
-		// dirty, the existing DFS file is doomed: resubmit until the
-		// remove lands (independent commit reordering, §III.E.1).
+		// publishes the entry as large before it creates the DFS object
+		// and clears the dirty bit after writing the data, so a live
+		// entry with our seq that is large or clean means the DFS copy
+		// is ours: done. (Adopting it would impose the create's stat,
+		// size included, over data the transition already wrote.)
+		// (2) The op is marked create-after-rm: an earlier
+		// incarnation's remove is still queued (possibly on another
+		// node) — our entry is still dirty, the existing DFS file is
+		// doomed: resubmit until the remove lands (independent commit
+		// reordering, §III.E.1).
 		// (3) The op is NOT create-after-rm: no remove can be pending,
 		// so the DFS object is this same path re-created after its
 		// clean cache entry was evicted. Waiting would livelock until
 		// the resubmission budget drops the op — adopt the object
 		// instead, imposing the create's metadata on it.
 		if v, ok := r.cacheLookup(op.Path, now, cache); ok && !v.removed {
-			if v.seq != op.Seq || !v.dirty {
+			if v.seq != op.Seq || !v.dirty || v.large {
 				r.opCommitted(ring, op)
 				r.writebackSpill(op.Path, now, backend)
 				r.clearDirty(op, now, cache)
@@ -546,71 +532,19 @@ func (r *Region) finishSetStat(op Op, err error, now *vclock.Time, cache *memcac
 	}
 }
 
-// condPred is the client-side equivalent of the cache server's
-// conditional-op predicates, for the legacy read-then-delete loop.
-func condPred(cond memcache.Cond, seq uint64) func(cacheVal) bool {
-	switch cond {
-	case memcache.CondSeq:
-		return func(v cacheVal) bool { return v.seq == seq }
-	case memcache.CondSeqRemoved:
-		return func(v cacheVal) bool { return v.removed && v.seq == seq }
-	default: // memcache.CondClean
-		return func(v cacheVal) bool { return !v.dirty && !v.removed }
-	}
-}
-
-// deleteIf deletes path's cache entry while cond holds for (seq, flags).
-// The fast path is one server-side conditional delete: the server
-// evaluates the predicate under its shard lock, so no CAS retry traffic
-// exists at all. The legacy client-side loop (Get + CAS-guarded
-// DeleteCAS, re-reading on conflict so an update racing between the read
-// and the delete is never lost — §III.D.3 applied to deletion) is kept
-// for the ClientSideCommitOps ablation and whenever a deleteHook is
-// installed: the hook's purpose is to open that read/delete race window
-// deterministically, which the server-side op does not have.
+// deleteIf deletes path's cache entry while cond holds for (seq, flags):
+// one server-side conditional delete. The server evaluates the
+// predicate under its shard lock, so an update racing the delete is
+// never lost (§III.D.3 applied to deletion) and no CAS retry traffic
+// exists at all.
 func (r *Region) deleteIf(cache *memcache.Client, now *vclock.Time, path string, cond memcache.Cond, seq uint64) error {
-	if r.deleteHook.Load() == nil && !r.cfg.ClientSideCommitOps {
-		r.cacheRPCs.Add(1)
-		_, done, err := cache.DeleteIf(*now, path, cond, seq)
-		*now = done
-		if err != nil && !errors.Is(err, fsapi.ErrNotExist) {
-			return err
-		}
-		return nil
+	r.cacheRPCs.Add(1)
+	_, done, err := cache.DeleteIf(*now, path, cond, seq)
+	*now = done
+	if err != nil && !errors.Is(err, fsapi.ErrNotExist) {
+		return err
 	}
-	pred := condPred(cond, seq)
-	for {
-		r.cacheRPCs.Add(1)
-		item, done, err := cache.Get(*now, path)
-		*now = done
-		if err != nil {
-			if errors.Is(err, fsapi.ErrNotExist) {
-				return nil // nothing to delete
-			}
-			return err
-		}
-		v, derr := decodeCacheVal(item.Value)
-		if derr != nil {
-			return derr
-		}
-		if !pred(v) {
-			return nil // the entry is no longer ours to delete
-		}
-		if h := r.deleteHook.Load(); h != nil {
-			(*h)(path)
-		}
-		r.cacheRPCs.Add(1)
-		done, err = cache.DeleteCAS(*now, path, item.CAS)
-		*now = done
-		switch {
-		case err == nil || errors.Is(err, fsapi.ErrNotExist):
-			return nil
-		case errors.Is(err, fsapi.ErrStale):
-			continue // concurrent update won; re-examine the new value
-		default:
-			return err
-		}
-	}
+	return nil
 }
 
 // dropOp abandons an operation. An abandoned creation's cache entry is
@@ -676,70 +610,54 @@ func (r *Region) cacheLookup(path string, now *vclock.Time, cache *memcache.Clie
 
 // clearDirty clears the dirty flag for the op's seq: the backup copy now
 // matches this version. A newer seq means another mutation is in flight
-// and its own commit will clear the flag. The fast path is one
-// server-side conditional op; the legacy Get + CAS loop remains for the
-// ClientSideCommitOps ablation.
+// and its own commit will clear the flag. One server-side conditional
+// op.
 func (r *Region) clearDirty(op Op, now *vclock.Time, cache *memcache.Client) {
-	if !r.cfg.ClientSideCommitOps {
-		r.cacheRPCs.Add(1)
-		_, done, _ := cache.ClearDirty(*now, op.Path, op.Seq)
-		*now = done
-		return
-	}
-	for {
-		r.cacheRPCs.Add(1)
-		item, done, err := cache.Get(*now, op.Path)
-		*now = done
-		if err != nil {
-			return // evicted or removed concurrently
-		}
-		v, derr := decodeCacheVal(item.Value)
-		if derr != nil || v.seq != op.Seq {
-			return
-		}
-		v.dirty = false
-		r.cacheRPCs.Add(1)
-		_, done, err = cache.CAS(*now, op.Path, v.encode(), 0, item.CAS)
-		*now = done
-		if err == nil || !errors.Is(err, fsapi.ErrStale) {
-			return
-		}
-	}
+	r.cacheRPCs.Add(1)
+	_, done, _ := cache.ClearDirty(*now, op.Path, op.Seq)
+	*now = done
 }
 
 // finishRemove deletes the removed marker from the cache once the remove
 // committed ("their cached metadata are deleted after the operations are
-// committed", §III.D.1) — unless a newer incarnation replaced it. The
-// delete is guarded: a create-after-rm racing between our read and
-// our delete must not have its fresh entry destroyed.
+// committed", §III.D.1) — unless a newer incarnation replaced it: the
+// seq+removed condition keeps a racing create-after-rm's fresh entry.
 func (r *Region) finishRemove(op Op, now *vclock.Time, cache *memcache.Client) {
 	r.deleteIf(cache, now, op.Path, memcache.CondSeqRemoved, op.Seq)
 }
 
 // writebackInline writes a newly created small file's bytes to the DFS.
 func (r *Region) writebackInline(path string, inline []byte, now *vclock.Time, backend Backend) {
-	if len(inline) == 0 {
-		return
-	}
-	r.backendRPCs.Add(1)
-	done, err := backend.WriteAt(*now, path, 0, inline)
-	*now = done
-	if err != nil {
-		r.dropped.Add(1)
+	if len(inline) > 0 {
+		r.writeback(path, inline, now, backend)
 	}
 }
 
 // writebackSpill writes fsync-spilled inline data to the DFS after the
 // file's create committed (§III.D.2).
 func (r *Region) writebackSpill(path string, now *vclock.Time, backend Backend) {
-	data, ok := r.spillTake(path)
-	if !ok {
-		return
+	if data, ok := r.spillTake(path); ok {
+		r.writeback(path, data, now, backend)
 	}
-	r.backendRPCs.Add(1)
-	done, err := backend.WriteAt(*now, path, 0, data)
-	*now = done
-	if err != nil {
-		r.dropped.Add(1)
+}
+
+// writeback writes data at offset 0 of a file whose create committed.
+// The bytes exist nowhere else on the DFS, so a transient failure (a
+// shard down or intent-blocked) is retried in place, up to the
+// resubmission budget, rather than counted as a drop.
+func (r *Region) writeback(path string, data []byte, now *vclock.Time, backend Backend) {
+	for attempt := 1; ; attempt++ {
+		r.backendRPCs.Add(1)
+		done, err := backend.WriteAt(*now, path, 0, data)
+		*now = done
+		if err == nil {
+			return
+		}
+		transient := errors.Is(err, fsapi.ErrClosed) || errors.Is(err, fsapi.ErrStale)
+		if !transient || attempt >= r.cfg.CommitRetryLimit {
+			r.dropped.Add(1)
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"pacon/internal/fsapi"
 	"pacon/internal/memcache"
 	"pacon/internal/namespace"
@@ -48,9 +50,11 @@ func (r *Region) evictSubtree(c *Client, at vclock.Time, p string, isDir bool) (
 	if isDir {
 		ents, done, err := c.backend.Readdir(at, p)
 		at = done
-		if err != nil {
+		if err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 			return at, err
 		}
+		// ErrNotExist: the directory was removed since it was listed —
+		// nothing is left under it to evict.
 		for _, ent := range ents {
 			var eerr error
 			at, eerr = r.evictSubtree(c, at, namespace.Join(p, ent.Name), ent.Type == fsapi.TypeDir)

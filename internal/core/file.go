@@ -98,7 +98,7 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 			// after the clean entry was evicted): pull the bytes in before
 			// splicing, or the write would zero-fill everything outside
 			// its own range and commit that back over the real content.
-			buf, done, rerr := c.backend.ReadAt(at, p, 0, int(v.stat.Size))
+			buf, done, rerr := c.readDFS(at, p, 0, int(v.stat.Size), v.stat.Size)
 			at = done
 			if rerr != nil {
 				return at, fsapi.WrapPath("write", p, rerr)
@@ -126,42 +126,66 @@ func (c *Client) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclo
 			return at, cerr
 		}
 
-		// Crossing the threshold: materialize on the DFS now.
-		return c.growToLarge(at, p, item.CAS, v, off, data)
+		// Crossing the threshold: publish the transition, then
+		// materialize on the DFS. Publishing first is what keeps the
+		// write: the file's create may still be queued, and a commit
+		// process that applies it after the DFS object below exists
+		// gets ErrExist — it must then find the entry large (this
+		// incarnation's object, see finishCreate), or it would adopt
+		// the object and impose the create's size-0 stat over the data.
+		v.large = true
+		cas, done, cerr := c.cache.CAS(at, p, v.encode(), 0, item.CAS)
+		at = done
+		if errors.Is(cerr, fsapi.ErrStale) || errors.Is(cerr, fsapi.ErrNotExist) {
+			continue // concurrent writer won; retry (§III.D.3)
+		}
+		if cerr != nil {
+			return at, cerr
+		}
+		return c.growToLarge(at, p, cas, v, off, data)
 	}
 }
 
-// growToLarge materializes a small file on the DFS (create if the async
-// create has not landed yet, flush inline bytes, write the new data) and
-// flips the cache entry to large.
+// growToLarge materializes a small file whose cache entry is already
+// published as large (create if the async create has not landed yet,
+// flush inline bytes, write the new data) and marks the entry clean.
 func (c *Client) growToLarge(at vclock.Time, p string, cas uint64, v cacheVal, off int64, data []byte) (vclock.Time, error) {
+	// fail withdraws the publication (best effort: a conflict means the
+	// entry moved on anyway), so the next write retries the transition
+	// instead of writing through to a DFS object that may not exist.
+	fail := func(at vclock.Time, err error) (vclock.Time, error) {
+		v.large = false
+		if _, done, cerr := c.cache.CAS(at, p, v.encode(), 0, cas); cerr == nil {
+			at = done
+		}
+		return at, err
+	}
 	st := v.stat
 	st.Inline = nil
 	done, err := c.backend.CreateWithStat(at, p, st)
 	at = done
 	if err != nil && !errors.Is(err, fsapi.ErrExist) {
-		return at, fsapi.WrapPath("write", p, err)
+		return fail(at, fsapi.WrapPath("write", p, err))
 	}
 	if len(v.stat.Inline) > 0 {
 		if done, err = c.backend.WriteAt(at, p, 0, v.stat.Inline); err != nil {
-			return done, err
+			return fail(done, err)
 		}
 		at = done
 	}
 	if done, err = c.backend.WriteAt(at, p, off, data); err != nil {
-		return done, err
+		return fail(done, err)
 	}
 	at = done
 
-	v.large = true
 	v.dirty = false // the DFS now holds the authoritative copy
 	v.stat.Inline = nil
 	if end := off + int64(len(data)); end > v.stat.Size {
 		v.stat.Size = end
 	}
-	// Flip the cache entry to large. A CAS conflict can come from a
-	// concurrent writer or from the commit process clearing the dirty
-	// bit; retry from a fresh read until the entry reflects the
+	// Mark the entry clean with its new size. A CAS conflict can come
+	// from a concurrent writer or from the commit process clearing the
+	// dirty bit; retry from a fresh read until the entry reflects the
 	// transition (§III.D.3).
 	for {
 		_, done, cerr := c.cache.CAS(at, p, v.encode(), 0, cas)
@@ -221,13 +245,27 @@ func (c *Client) ReadAt(at vclock.Time, p string, off int64, n int) ([]byte, vcl
 	if st.IsDir() {
 		return nil, at, fsapi.WrapPath("read", p, fsapi.ErrIsDir)
 	}
-	if st.Size <= int64(r.cfg.SmallFileThreshold) {
-		if int64(len(st.Inline)) < st.Size {
-			// Loaded from the DFS without its data (cache-miss path):
-			// fetch the bytes once.
-			return c.backend.ReadAt(at, p, off, n)
-		}
+	if st.Size <= int64(r.cfg.SmallFileThreshold) && int64(len(st.Inline)) >= st.Size {
 		return sliceInline(st.Inline, off, n), at, nil
+	}
+	// Large, or loaded from the DFS without its data (cache-miss path):
+	// fetch the bytes from the DFS.
+	return c.readDFS(at, p, off, n, st.Size)
+}
+
+// readDFS reads a region file's bytes from the DFS. size is the file's
+// size in the region's cache — the primary copy. The backend clamps
+// reads to its own cached view of the size, which lags every write the
+// commit processes or other nodes applied since it was cached; a read
+// that comes back shorter than size allows refreshes that view once
+// and reads again.
+func (c *Client) readDFS(at vclock.Time, p string, off int64, n int, size int64) ([]byte, vclock.Time, error) {
+	data, at, err := c.backend.ReadAt(at, p, off, n)
+	if err != nil || int64(len(data)) >= min(int64(n), size-off) {
+		return data, at, err
+	}
+	if _, at, err = c.statFresh(at, p); err != nil {
+		return nil, at, err
 	}
 	return c.backend.ReadAt(at, p, off, n)
 }

@@ -419,3 +419,123 @@ func TestTableIConformance(t *testing.T) {
 		t.Fatal("readdir returned with queued ops")
 	}
 }
+
+// stepBackend parks chosen DFS calls so a test can interleave the
+// client's large-file transition with the commit process. A
+// CreateWithStat on createPath waits for createGate before it runs; the
+// first WriteAt on writePath runs and then waits for writeGate before
+// it returns (wrote is closed when it has run).
+type stepBackend struct {
+	Backend
+	createPath, writePath string
+	createGate, writeGate chan struct{}
+	wrote                 chan struct{}
+	once                  *sync.Once
+}
+
+func (b *stepBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
+	if p == b.createPath {
+		<-b.createGate
+	}
+	return b.Backend.CreateWithStat(at, p, st)
+}
+
+func (b *stepBackend) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
+	done, err := b.Backend.WriteAt(at, p, off, data)
+	if p == b.writePath {
+		b.once.Do(func() {
+			close(b.wrote)
+			<-b.writeGate
+		})
+	}
+	return done, err
+}
+
+// TestGrowToLargeSurvivesCommitAdopt pins the acked-write loss of the
+// large-file transition: the client materializes a small file on the
+// DFS and writes its data, and the commit process applies the file's
+// still-queued create before the client flips the cache entry to
+// large. That create hits ErrExist on the object the client just
+// wrote; it must recognize the object as this incarnation's and leave
+// it alone instead of adopting it with the create's size-0 stat.
+func TestGrowToLargeSurvivesCommitAdopt(t *testing.T) {
+	sb := &stepBackend{
+		createPath: "/w/first", writePath: "/w/big",
+		createGate: make(chan struct{}), writeGate: make(chan struct{}),
+		wrote: make(chan struct{}), once: new(sync.Once),
+	}
+	e := newEnvDeps(t, 1, func(cfg *RegionConfig) {
+		cfg.SmallFileThreshold = 64
+		cfg.CommitBatchSize = 1
+	}, func(d *Deps) {
+		prev := d.NewBackend
+		d.NewBackend = func(node string) Backend {
+			b := *sb
+			b.Backend = prev(node)
+			return &b
+		}
+	})
+	c := e.client(t, "node0")
+
+	// The commit process blocks on /w/first with /w/big's create queued
+	// behind it.
+	at, err := c.Create(0, "/w/first", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.Create(at, "/w/big", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "commit process blocked", func() bool { return e.region.QueueDepth() == 1 })
+
+	// The client's large write materializes /w/big and parks just before
+	// its final cache update.
+	payload := bytes.Repeat([]byte("L"), 1024)
+	writeDone := make(chan error, 1)
+	go func() {
+		_, werr := c.WriteAt(at, "/w/big", 0, payload)
+		writeDone <- werr
+	}()
+	<-sb.wrote
+
+	// Now the commit process applies /w/big's create inside the window.
+	close(sb.createGate)
+	waitFor(t, "both creates applied", func() bool { return e.region.QueueDepth() == 0 && !e.region.PathPending("/w/big") })
+	close(sb.writeGate)
+	if err := <-writeDone; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+
+	if st, err := e.dfs.MDS.Tree().Lookup("/w/big"); err != nil || st.Size != int64(len(payload)) {
+		t.Fatalf("DFS copy after the transition = %+v, %v; want size %d", st, err, len(payload))
+	}
+	got, _, err := c.ReadAt(at, "/w/big", 0, 2*len(payload))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read back %d bytes, %v; want %d", len(got), err, len(payload))
+	}
+}
+
+// TestGrowToLargeFailureWithdrawsPublication: a large-file transition
+// that cannot materialize (the parent is not on the DFS yet) fails the
+// write and leaves the entry small, so a later write retries the
+// transition instead of writing through to a missing DFS object.
+func TestGrowToLargeFailureWithdrawsPublication(t *testing.T) {
+	e := newEnv(t, 1, func(cfg *RegionConfig) {
+		cfg.DisableParentCheck = true
+		cfg.SmallFileThreshold = 64
+	})
+	c := e.client(t, "node0")
+	at, err := c.Create(0, "/w/nodir/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WriteAt(at, "/w/nodir/f", 0, bytes.Repeat([]byte("x"), 1024)); !errors.Is(err, fsapi.ErrNotExist) {
+		t.Fatalf("large write under a missing parent = %v, want ErrNotExist", err)
+	}
+	if ent, ok := findEntry(t, e.region, "/w/nodir/f"); !ok || ent.Large {
+		t.Fatalf("entry after the failed transition = %+v ok=%v, want a small entry", ent, ok)
+	}
+}

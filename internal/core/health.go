@@ -169,7 +169,7 @@ func (r *Region) Health(thr HealthThresholds) Health {
 		MaxCommitLagNS: r.MaxCommitLag(),
 		QueueHeadAgeNS: r.QueueHeadAge(),
 		QueueDepth:     r.QueueDepth(),
-		ParkedOps:      r.parked.Load(),
+		ParkedOps:      r.ParkedOps(),
 		DirtyKeys:      dirty,
 		RemovedKeys:    removed,
 		DroppedOps:     r.dropped.Load(),

@@ -89,8 +89,9 @@ type Op struct {
 	// (they can still be tail-kept at the terminal if they turn out
 	// slow, failed, or parked).
 	Sampled bool
-	// Parked records that the op was ever parked in the pending set —
-	// the tail sampler always keeps such spans.
+	// Parked records that the op sits in the pending set (a parked op
+	// stays there until its terminal, which releases the in-flight
+	// table's parked count) — the tail sampler always keeps such spans.
 	Parked bool
 }
 

@@ -77,20 +77,6 @@ type RegionConfig struct {
 	// DisableCoalesce turns off dequeue-time merging of same-path
 	// operation runs (ablation / debugging switch).
 	DisableCoalesce bool
-	// ReadBatchSize caps how many paths a batched read (StatMulti,
-	// readdir cache warming) packs into one multi-key cache round trip
-	// (default 64). 1 restores per-key gets (ablation switch).
-	ReadBatchSize int
-	// DisableScopedBarrier makes every sync barrier drain all node
-	// queues even when the dependent operation only covers a subtree
-	// (ablation switch; rename and Drain always use the full barrier).
-	DisableScopedBarrier bool
-	// ClientSideCommitOps makes the commit module use the legacy
-	// client-side Get+CAS / Get+DeleteCAS retry loops instead of the
-	// cache servers' conditional operations (ablation switch; the
-	// deleteHook test instrumentation also forces the legacy delete
-	// loop, which is where its race window lives).
-	ClientSideCommitOps bool
 	// Model is the latency model.
 	Model vclock.LatencyModel
 
@@ -131,12 +117,6 @@ func (c RegionConfig) withDefaults() RegionConfig {
 	}
 	if c.CommitBatchSize < 1 {
 		c.CommitBatchSize = 1
-	}
-	if c.ReadBatchSize == 0 {
-		c.ReadBatchSize = 64
-	}
-	if c.ReadBatchSize < 1 {
-		c.ReadBatchSize = 1
 	}
 	if c.ShardCount < 1 {
 		c.ShardCount = 1
@@ -193,16 +173,10 @@ type Region struct {
 	queues     map[string]*mq.Queue[Op]
 	barrier    *mq.Barrier
 
-	// trackers holds, per node, the paths of ops that entered the node's
-	// commit pipeline and have not reached a terminal state (committed,
-	// discarded or dropped). A scoped sync barrier consults them to skip
-	// queues with nothing pending under the dependent op's subtree.
-	trackers map[string]*pathTracker
-
-	// lags holds, per node, the wall-clock enqueue timestamps of the
-	// same not-yet-terminal ops (entries exist only when observability
-	// stamped Op.EnqWall) — the consistency-lag watermarks read them.
-	lags map[string]*lagTracker
+	// inflight holds, per node, the ops that entered the node's commit
+	// pipeline and have not reached a terminal state (see
+	// inflightTable).
+	inflight map[string]*inflightTable
 
 	seq     atomic.Uint64
 	ckptSeq atomic.Uint64
@@ -237,11 +211,6 @@ type Region struct {
 	// nothing would ever clean up.
 	invalGen atomic.Uint64
 
-	// deleteHook, when set, runs between the read and the CAS-guarded
-	// delete inside deleteIf — test instrumentation that opens the
-	// read/delete race window deterministically.
-	deleteHook atomic.Pointer[func(path string)]
-
 	committed, discarded, retries, dropped, evictions atomic.Int64
 	coalesced, cacheRPCs, backendRPCs                 atomic.Int64
 	batchRPCs, batchedOps, batchFallbacks             atomic.Int64
@@ -258,10 +227,8 @@ type Region struct {
 	auditMu   sync.Mutex
 	lastAudit *AuditVerdict
 
-	// obs is the observability registry (nil = disabled); parked counts
-	// ops resident in the commit processes' pending sets.
-	obs    *obs.Obs
-	parked atomic.Int64
+	// obs is the observability registry (nil = disabled).
+	obs *obs.Obs
 
 	// healthPrev remembers the last Health() status so a worsening
 	// transition (ok → degraded/stalled) can trigger the flight
@@ -277,57 +244,14 @@ type Region struct {
 	closed atomic.Bool
 }
 
-// pathTracker refcounts the paths pending in one node's commit pipeline:
-// incremented before the op enters the queue, decremented exactly once
-// when the op reaches a terminal state (committed, discarded, dropped,
-// or absorbed by the coalescer). The count covers queued, in-flight and
-// parked ops alike — any of them obliges the node to join a barrier
-// whose scope covers the path.
-type pathTracker struct {
-	mu    sync.Mutex
-	paths map[string]int
-}
-
-func (t *pathTracker) add(p string) {
-	t.mu.Lock()
-	if t.paths == nil {
-		t.paths = make(map[string]int)
-	}
-	t.paths[p]++
-	t.mu.Unlock()
-}
-
-func (t *pathTracker) remove(p string) {
-	t.mu.Lock()
-	if n := t.paths[p] - 1; n > 0 {
-		t.paths[p] = n
-	} else {
-		delete(t.paths, p)
-	}
-	t.mu.Unlock()
-}
-
-// hasUnder reports whether any pending path lies in scope's subtree.
-func (t *pathTracker) hasUnder(scope string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for p := range t.paths {
-		if namespace.IsUnder(p, scope) {
-			return true
-		}
-	}
-	return false
-}
-
-// opTerminal releases an op's path-tracker reference and its
-// consistency-lag entry. Every op that entered a queue reaches exactly
-// one terminal: committed, discarded, dropped, or absorbed into a
-// coalesced survivor.
+// opTerminal releases an op's in-flight table entry. Every op that was
+// added to the table reaches exactly one terminal: committed,
+// discarded, dropped, absorbed into a coalesced survivor, lost with a
+// failed node, or refused by its queue push.
 func (r *Region) opTerminal(op Op) {
-	if t := r.trackers[op.Node]; t != nil {
-		t.remove(op.Path)
+	if t := r.inflight[op.Node]; t != nil { // nil: an op no client pushed
+		t.release(op)
 	}
-	r.lagRemove(op)
 }
 
 // remoteRegion is a merged peer's shareable view (§III.D.4: basic info —
@@ -358,8 +282,7 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		ring:     dht.New(0),
 		queues:   make(map[string]*mq.Queue[Op]),
 		barrier:  mq.NewBarrier(len(cfg.Nodes)),
-		trackers: make(map[string]*pathTracker),
-		lags:     make(map[string]*lagTracker),
+		inflight: make(map[string]*inflightTable),
 		removing: make(map[string]int),
 		spill:    make(map[string][]byte),
 	}
@@ -382,8 +305,7 @@ func NewRegion(cfg RegionConfig, deps Deps) (*Region, error) {
 		// Queue-head wall stamping rides the observability switch: one
 		// clock read per push when on, one branch when off.
 		r.queues[node].TrackWall(deps.Obs != nil)
-		r.trackers[node] = &pathTracker{}
-		r.lags[node] = &lagTracker{}
+		r.inflight[node] = newInflightTable()
 	}
 
 	// Verify the workspace and seed its metadata into the cache.
@@ -445,7 +367,7 @@ func (r *Region) registerMetrics() {
 
 	o.RegisterGauge("mds_shards", func() int64 { return int64(r.cfg.ShardCount) })
 	o.RegisterGauge("queue_depth", func() int64 { return int64(r.QueueDepth()) })
-	o.RegisterGauge("parked_ops", r.parked.Load)
+	o.RegisterGauge("parked_ops", r.ParkedOps)
 	o.RegisterGauge("max_staleness_ns", r.MaxStaleness)
 	o.RegisterGauge("max_commit_lag_ns", r.maxLagNS.Load)
 	o.RegisterGauge("queue_head_age_ns", r.QueueHeadAge)
@@ -701,14 +623,14 @@ func (r *Region) SpillCount() int {
 // calls barrier.Release.
 //
 // scope, when non-empty, is the dependent operation's subtree: only
-// queues whose path tracker shows a pending op under it participate —
+// queues whose in-flight table shows a pending op under it participate —
 // the rest are never drained, never even see the marker
 // (barrier.SetExpect shrinks the epoch to the participant count). An
 // op pushed into a skipped queue after the participant snapshot is
 // concurrent with the barrier and owes it nothing, exactly like an op
 // racing the marker push in the full protocol. Scope "" (rename,
-// Drain — operations whose footprint is not one subtree) and the
-// DisableScopedBarrier ablation drain every queue.
+// Drain — operations whose footprint is not one subtree) drains every
+// queue.
 func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain vclock.Time, err error) {
 	var start int64
 	if r.obs != nil {
@@ -719,15 +641,9 @@ func (r *Region) syncBarrier(at vclock.Time, scope string) (epoch uint64, drain 
 		return 0, at, err
 	}
 	participants := make([]*mq.Queue[Op], 0, len(r.queues))
-	if scope == "" || r.cfg.DisableScopedBarrier {
-		for _, q := range r.queues {
+	for node, q := range r.queues {
+		if scope == "" || r.inflight[node].hasUnder(scope) {
 			participants = append(participants, q)
-		}
-	} else {
-		for node, q := range r.queues {
-			if r.trackers[node].hasUnder(scope) {
-				participants = append(participants, q)
-			}
 		}
 	}
 	if len(participants) < len(r.queues) {

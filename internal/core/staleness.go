@@ -1,144 +1,55 @@
 package core
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// This file is the consistency-lag half of the observability seam: it
-// tracks, per node, the wall-clock enqueue times of every operation that
-// entered the commit pipeline and has not yet reached a terminal state
-// (committed, discarded, dropped, or absorbed by the coalescer). The
-// oldest resident timestamp bounds how far the DFS backup copy trails
-// the primary cache copy — the paper's inconsistency window, made
-// measurable. Everything here is wall clock only and nil-safe: with
-// Deps.Obs unset no op carries an EnqWall, every hook is one branch,
-// and the trackers stay empty.
-
-// lagTracker holds the in-flight enqueue timestamps of one node's
-// pipeline, keyed by path. Parked and retrying ops keep their entry —
-// they have not reached a terminal — so the max-staleness watermark
-// covers them, unlike a queue-head gauge which forgets an op at dequeue.
-type lagTracker struct {
-	mu    sync.Mutex
-	walls map[string][]int64
-}
-
-func (t *lagTracker) add(p string, wall int64) {
-	t.mu.Lock()
-	if t.walls == nil {
-		t.walls = make(map[string][]int64)
-	}
-	t.walls[p] = append(t.walls[p], wall)
-	t.mu.Unlock()
-}
-
-// remove drops one instance of wall for p; tolerant of a missing entry
-// (an op enqueued before observability was attached terminates without
-// a record).
-func (t *lagTracker) remove(p string, wall int64) {
-	t.mu.Lock()
-	ws := t.walls[p]
-	for i, w := range ws {
-		if w == wall {
-			ws[i] = ws[len(ws)-1]
-			ws = ws[:len(ws)-1]
-			break
-		}
-	}
-	if len(ws) == 0 {
-		delete(t.walls, p)
-	} else {
-		t.walls[p] = ws
-	}
-	t.mu.Unlock()
-}
-
-// oldest returns the minimum resident timestamp, or 0 when nothing is
-// in flight.
-func (t *lagTracker) oldest() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var min int64
-	for _, ws := range t.walls {
-		for _, w := range ws {
-			if min == 0 || w < min {
-				min = w
-			}
-		}
-	}
-	return min
-}
-
-// oldestFor returns the minimum resident timestamp for exactly path p,
-// or 0 when p has nothing in flight.
-func (t *lagTracker) oldestFor(p string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var min int64
-	for _, w := range t.walls[p] {
-		if min == 0 || w < min {
-			min = w
-		}
-	}
-	return min
-}
-
-// lagAdd registers an op's enqueue timestamp; called before the queue
-// push (same ordering contract as the path tracker: the reverse order
-// would let a fast commit process reach the terminal before the add and
-// leak the entry forever, pinning the watermark).
-func (r *Region) lagAdd(op Op) {
-	if op.EnqWall == 0 {
-		return
-	}
-	if t := r.lags[op.Node]; t != nil {
-		t.add(op.Path, op.EnqWall)
-	}
-}
-
-// lagRemove releases an op's timestamp at its terminal.
-func (r *Region) lagRemove(op Op) {
-	if op.EnqWall == 0 {
-		return
-	}
-	if t := r.lags[op.Node]; t != nil {
-		t.remove(op.Path, op.EnqWall)
-	}
-}
+// This file is the consistency-lag half of the observability seam: the
+// per-node in-flight tables (see inflightTable) record the wall-clock
+// enqueue time of every operation that has not yet reached a terminal
+// state, and the oldest resident timestamp bounds how far the DFS
+// backup copy trails the primary cache copy — the paper's
+// inconsistency window, made measurable. Parked and retrying ops keep
+// their entry, so the watermark covers them, unlike a queue-head gauge
+// which forgets an op at dequeue. Everything here is wall clock only:
+// with Deps.Obs unset no op carries an EnqWall and the watermarks read
+// 0.
 
 // OldestUnacked returns the age (ns of wall time) of the oldest
 // operation in node's commit pipeline that has not reached the DFS —
 // queued, in-flight, parked or retrying alike. 0 means the pipeline is
 // empty or observability is disabled.
 func (r *Region) OldestUnacked(node string) int64 {
-	t := r.lags[node]
+	t := r.inflight[node]
 	if t == nil {
 		return 0
 	}
-	w := t.oldest()
-	if w == 0 {
+	return ageOf(t.oldest(""))
+}
+
+// ageOf turns an enqueue wall into an age (0 stays 0: nothing tracked).
+func ageOf(wall int64) int64 {
+	if wall == 0 {
 		return 0
 	}
-	return time.Now().UnixNano() - w
+	return time.Now().UnixNano() - wall
+}
+
+// oldestWall returns the minimum resident enqueue wall across every
+// node's in-flight table, for exactly path p or (p == "") any path.
+func (r *Region) oldestWall(p string) int64 {
+	var oldest int64
+	for _, t := range r.inflight {
+		if w := t.oldest(p); w != 0 && (oldest == 0 || w < oldest) {
+			oldest = w
+		}
+	}
+	return oldest
 }
 
 // MaxStaleness is the region-wide consistency-lag watermark: the age of
 // the oldest unacknowledged operation across every node's pipeline —
 // an upper bound on how far any DFS backup copy currently trails its
 // primary cache copy. 0 means fully converged (or observability off).
-func (r *Region) MaxStaleness() int64 {
-	var oldest int64
-	for _, t := range r.lags {
-		if w := t.oldest(); w != 0 && (oldest == 0 || w < oldest) {
-			oldest = w
-		}
-	}
-	if oldest == 0 {
-		return 0
-	}
-	return time.Now().UnixNano() - oldest
-}
+func (r *Region) MaxStaleness() int64 { return ageOf(r.oldestWall("")) }
 
 // MaxCommitLag returns the largest single enqueue→durable latency
 // observed so far (ns): the peak width of the inconsistency window for
@@ -175,16 +86,12 @@ func (r *Region) QueueHeadAge() int64 {
 }
 
 // PathPending reports whether any op for exactly path p is still in
-// some node's commit pipeline. Unlike the lag trackers this is fed by
-// the path trackers, which run regardless of observability — the
-// auditor uses it to tell stale-pending from divergent even on a region
-// with Deps.Obs unset.
+// some node's commit pipeline. The in-flight tables count ops
+// regardless of observability, so the auditor can tell stale-pending
+// from divergent even on a region with Deps.Obs unset.
 func (r *Region) PathPending(p string) bool {
-	for _, t := range r.trackers {
-		t.mu.Lock()
-		n := t.paths[p]
-		t.mu.Unlock()
-		if n > 0 {
+	for _, t := range r.inflight {
+		if t.pending(p) {
 			return true
 		}
 	}
@@ -194,17 +101,16 @@ func (r *Region) PathPending(p string) bool {
 // OldestPendingAge returns the age (ns) of the oldest in-flight op for
 // exactly path p across all nodes, or 0 when none is tracked (path not
 // pending, or observability disabled).
-func (r *Region) OldestPendingAge(p string) int64 {
-	var oldest int64
-	for _, t := range r.lags {
-		if w := t.oldestFor(p); w != 0 && (oldest == 0 || w < oldest) {
-			oldest = w
-		}
+func (r *Region) OldestPendingAge(p string) int64 { return ageOf(r.oldestWall(p)) }
+
+// ParkedOps returns how many ops sit in the commit processes' pending
+// sets, parked awaiting resubmission or behind a parked same-path op.
+func (r *Region) ParkedOps() int64 {
+	var n int64
+	for _, t := range r.inflight {
+		n += t.parkedOps()
 	}
-	if oldest == 0 {
-		return 0
-	}
-	return time.Now().UnixNano() - oldest
+	return n
 }
 
 // Drop reasons label the ops_dropped_* counters and StageDrop trace

@@ -37,6 +37,11 @@ type MDS struct {
 	intentN  atomic.Int32
 	intentMu sync.Mutex
 	intents  map[string]uint64
+	// mutMu is held shared by every mutation from its intent check to
+	// its effect, and exclusively by putIntent: once an intent is
+	// logged, no mutation that missed it is still running, so a
+	// protocol's export or vote sees every effect that was not blocked.
+	mutMu sync.RWMutex
 }
 
 // NewMDS creates a metadata server whose root is owned by cred.
@@ -105,6 +110,8 @@ func (m *MDS) checkParentWritable(op, p string, cred fsapi.Cred) error {
 // applyOne applies a single batched mutation, mirroring the semantics of
 // the corresponding singleton handler exactly.
 func (m *MDS) applyOne(op fsapi.BatchOp, cred fsapi.Cred) error {
+	m.mutMu.RLock()
+	defer m.mutMu.RUnlock()
 	if err := m.intentBlocked("apply", op.Path); err != nil {
 		return err
 	}
@@ -210,6 +217,8 @@ func (m *MDS) Service() *rpc.Service {
 			}
 			m.writes.Add(1)
 			done := m.res.Acquire(at, m.model.MDSWriteCost)
+			m.mutMu.RLock()
+			defer m.mutMu.RUnlock()
 			if err := m.intentBlocked(op, p); err != nil {
 				return done, nil, err
 			}
@@ -305,6 +314,8 @@ func (m *MDS) Service() *rpc.Service {
 		}
 		m.writes.Add(1)
 		done := m.res.Acquire(at, m.model.MDSWriteCost)
+		m.mutMu.RLock()
+		defer m.mutMu.RUnlock()
 		if err := m.intentBlocked("rename", src); err != nil {
 			return done, nil, err
 		}

@@ -75,6 +75,8 @@ func (m *MDS) intentBlockedExcept(op, p string, id uint64) error {
 // different intent already covers an overlapping subtree; re-putting
 // the same (root, id) pair is idempotent.
 func (m *MDS) putIntent(op, root string, id uint64) error {
+	m.mutMu.Lock()
+	defer m.mutMu.Unlock()
 	m.intentMu.Lock()
 	defer m.intentMu.Unlock()
 	for r, rid := range m.intents {

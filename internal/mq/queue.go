@@ -32,29 +32,24 @@ import (
 // brief tail→head swap when its head buffer runs dry, and the two
 // buffers ping-pong so steady-state operation allocates nothing.
 type Queue[T any] struct {
-	// pushMu guards the publish side: tail, closed, trackWall, the
-	// pushed counter and the depth high-water mark. cond (on pushMu)
-	// signals new tail items and close.
+	// pushMu guards the publish side: tail, closed and trackWall. cond
+	// (on pushMu) signals new tail items and close.
 	pushMu    sync.Mutex
 	cond      *sync.Cond
 	tail      []queueItem[T]
 	closed    bool
 	trackWall bool
-	pushed    int64
-	maxSeen   int
 
 	// popMu guards the subscribe side: the head buffer and its consume
 	// offset. The subscriber never holds popMu while blocked waiting for
-	// items (see ensureHead), so OldestWall/Len/Stats samplers stay live
+	// items (see ensureHead), so OldestWall/Len samplers stay live
 	// while the commit process sleeps on an empty queue.
 	popMu   sync.Mutex
 	head    []queueItem[T]
 	headOff int
 
-	// size and popped are atomic so each side updates them under its own
-	// lock only.
-	size   atomic.Int64
-	popped atomic.Int64
+	// size is atomic so each side updates it under its own lock only.
+	size atomic.Int64
 }
 
 type queueItem[T any] struct {
@@ -84,10 +79,7 @@ func (q *Queue[T]) Push(v T) error {
 		it.wall = time.Now().UnixNano()
 	}
 	q.tail = append(q.tail, it)
-	q.pushed++
-	if n := int(q.size.Add(1)); n > q.maxSeen {
-		q.maxSeen = n
-	}
+	q.size.Add(1)
 	q.cond.Signal()
 	q.pushMu.Unlock()
 	return nil
@@ -193,7 +185,6 @@ func (q *Queue[T]) takeHeadLocked() queueItem[T] {
 	q.head[q.headOff] = queueItem[T]{}
 	q.headOff++
 	q.size.Add(-1)
-	q.popped.Add(1)
 	return it
 }
 
@@ -253,7 +244,6 @@ func (q *Queue[T]) PopBatchInto(buf []T, max int) (batch []T, barrier bool, epoc
 		n++
 	}
 	q.size.Add(-int64(n))
-	q.popped.Add(int64(n))
 	return batch, false, 0, true
 }
 
@@ -283,18 +273,4 @@ func (q *Queue[T]) Close() {
 	q.closed = true
 	q.cond.Broadcast()
 	q.pushMu.Unlock()
-}
-
-// QueueStats reports queue pressure for the bench harness.
-type QueueStats struct {
-	Pushed, Popped int64
-	MaxDepth       int
-}
-
-// Stats returns counters.
-func (q *Queue[T]) Stats() QueueStats {
-	q.pushMu.Lock()
-	pushed, maxSeen := q.pushed, q.maxSeen
-	q.pushMu.Unlock()
-	return QueueStats{Pushed: pushed, Popped: q.popped.Load(), MaxDepth: maxSeen}
 }
