@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check flake-check audit-check race-chaos bench-read bench-scale bench-shards bench-hotspot bench-diff alloc-gate trace-check clean
+.PHONY: build test check flake-check audit-check race-chaos bench-commit bench-read bench-scale bench-shards bench-hotspot bench-diff alloc-gate trace-check clean
 
 build:
 	$(GO) build ./...
@@ -27,39 +27,46 @@ flake-check: build
 # post-drain auditor as a second convergence oracle (any divergent or
 # stale-pending key fails the run), the audit/core staleness tests run,
 # and the audit experiment writes AUDIT_report.json — the evidence CI
-# archives. The report is written even when the gate fails.
+# archives. The report is written even when the gate fails, failing
+# seeds included (their "violations" metric is non-zero).
 audit-check: build
 	$(GO) test -count=1 ./internal/chaos/ ./internal/audit/
-	$(GO) run ./cmd/paconbench -quick -auditjson AUDIT_report.json
+	$(GO) run ./cmd/paconbench -quick -fig audit -json AUDIT_report.json
 
-# bench-read regenerates the read-path report (BENCH_read.json): batched
-# multi-key reads + scoped barriers vs the per-key/full-drain baseline.
+# The bench-* targets regenerate the committed reports at default
+# scale. Every report has one schema — {experiment, config, points:
+# [{params, metrics, stages}], notes} — and each experiment runs once.
+#
+# bench-commit: commit-path round trips (conditional + coalesced +
+# batched) and the consistency lag of the create+write+remove mix.
+bench-commit:
+	$(GO) run ./cmd/paconbench -fig commit -json BENCH_commit.json
+
+# bench-read: batched multi-key reads + scoped barriers under a
+# readdir+stat mix with sibling writers.
 bench-read:
-	$(GO) run ./cmd/paconbench -readjson BENCH_read.json
+	$(GO) run ./cmd/paconbench -fig read -json BENCH_read.json
 
-# bench-scale regenerates the client-scalability report
-# (BENCH_scale.json): virtual throughput at 160 → 1M simulated clients
+# bench-scale: virtual throughput at 160 → 1M simulated clients
 # multiplexed onto at most 64 shard goroutines.
 bench-scale:
-	$(GO) run ./cmd/paconbench -scalejson BENCH_scale.json
+	$(GO) run ./cmd/paconbench -fig scale -json BENCH_scale.json
 
-# bench-shards runs a trimmed MDS shard sweep (1/2/4 shards, commit
-# wave at quick scale) and writes the standalone BENCH_shards.json
-# artifact; the full 1/2/4/8 sweep rides inside bench-read/bench-scale
-# and the commit report.
+# bench-shards: the commit, read and scale workloads at 1/2/4/8 MDS
+# shards — the only place those sweeps run.
 bench-shards:
-	$(GO) run ./cmd/paconbench -quick -shardsjson BENCH_shards.json
+	$(GO) run ./cmd/paconbench -fig shards -json BENCH_shards.json
 
-# bench-hotspot regenerates the hotspot-telemetry report
-# (BENCH_hotspot.json): a zipf-skewed stat/create mix at scale-bench
-# fan-in, sweeping zipf s ∈ {1.0, 1.2, 1.4} × MDS shards ∈ {1, 4} and
-# reporting client p50/p99, per-shard utilization spread, and the top-K
-# sketch's recall of the true hot set (acceptance: ≥0.90 at s=1.2).
+# bench-hotspot: a zipf-skewed stat/create mix at scale-bench fan-in,
+# sweeping zipf s ∈ {1.0, 1.2, 1.4} × MDS shards ∈ {1, 4} and reporting
+# client p50/p99, per-shard utilization spread, and the top-K sketch's
+# recall of the true hot set (acceptance: ≥0.90 at s=1.2).
 bench-hotspot:
-	$(GO) run ./cmd/paconbench -hotjson BENCH_hotspot.json
+	$(GO) run ./cmd/paconbench -fig hotspot -json BENCH_hotspot.json
 
-# bench-diff compares two BENCH_*.json artifacts and fails on >10%
-# regressions of direction-known metrics (throughput down, latency up).
+# bench-diff compares two reports point by point (matched by params)
+# and fails on >10% regressions of direction-known metrics (throughput
+# down, latency up); reports with different configs are not comparable.
 # Usage: make bench-diff OLD=BENCH_hotspot.json NEW=BENCH_hotspot_ci.json
 bench-diff:
 	$(GO) run ./cmd/benchdiff -fail $(OLD) $(NEW)
@@ -82,13 +89,13 @@ alloc-gate:
 
 # trace-check is the causal-tracing gate: the cross-node trace tests
 # (wire propagation, assembly/ordering, sampling, flight recorder) run
-# against a counted build, then a trimmed scale sweep runs with tracing
-# live at the default 1-in-64 rate and writes BENCH_scale_trace.json —
-# whose per-point "trace" block is the evidence the sampler actually
-# sampled at scale.
+# against a counted build, then the quick scale run goes with tracing
+# live at the default 1-in-64 rate and writes BENCH_scale_ci.json —
+# whose per-point trace_* metrics are the evidence the sampler actually
+# sampled at scale. It is CI's only scale run.
 trace-check: build
 	$(GO) test -count=1 -run 'Trace|Span|Sampl|Flight|CritPath' ./internal/obs/ ./internal/rpc/ ./internal/core/ ./internal/chaos/
-	$(GO) run ./cmd/paconbench -quick -scalejson BENCH_scale_trace.json
+	$(GO) run ./cmd/paconbench -quick -fig scale -json BENCH_scale_ci.json
 
 # race-chaos runs only the chaos convergence schedules under -race.
 race-chaos:

@@ -10,6 +10,13 @@
 //	paconbench -quick -all        # reduced scale (~seconds)
 //	paconbench -all -csv out/     # also write CSV files
 //	paconbench -list              # list experiment ids
+//	paconbench -fig scale -json BENCH_scale.json
+//	                              # also write the experiment's JSON report
+//
+// The JSON report has one schema for every experiment:
+// {experiment, config, points: [{params, metrics, stages}], notes}.
+// A run that fails a gate (the audit) still writes its report before
+// paconbench exits non-zero, so the evidence survives.
 package main
 
 import (
@@ -29,16 +36,11 @@ import (
 func main() {
 	var (
 		all    = flag.Bool("all", false, "run every experiment")
-		fig    = flag.String("fig", "", "run one experiment (e.g. fig7; 'fig' prefix optional)")
+		fig    = flag.String("fig", "", "run one experiment by id (see -list; a bare number n means fign)")
 		quick  = flag.Bool("quick", false, "reduced scale for smoke runs")
 		csvDir = flag.String("csv", "", "also write <id>.csv files into this directory")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
-		cjson  = flag.String("commitjson", "", "run the commit experiment and write its JSON report to this path")
-		rjson  = flag.String("readjson", "", "run the read experiment and write its JSON report to this path")
-		ajson  = flag.String("auditjson", "", "run the divergence-audit experiment and write its JSON report to this path")
-		sjson  = flag.String("scalejson", "", "run the scale experiment and write its JSON report to this path")
-		shjson = flag.String("shardsjson", "", "run the MDS shard sweep and write its JSON report to this path")
-		hjson  = flag.String("hotjson", "", "run the hotspot-telemetry sweep and write its JSON report to this path")
+		jsonTo = flag.String("json", "", "also write the -fig experiment's JSON report to this path")
 		debug  = flag.String("debug", "", "serve /debug/vars and /debug/pprof on this address while experiments run")
 	)
 	flag.Parse()
@@ -68,151 +70,6 @@ func main() {
 		cfg = bench.Quick()
 	}
 
-	if *cjson != "" {
-		rep, figs, err := bench.RunCommit(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: commit: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*cjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *cjson)
-		if !*all && *fig == "" && *rjson == "" && *ajson == "" && *sjson == "" && *shjson == "" && *hjson == "" {
-			return
-		}
-	}
-
-	if *sjson != "" {
-		rep, figs, err := bench.RunScale(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: scale: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*sjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *sjson)
-		if !*all && *fig == "" && *rjson == "" && *ajson == "" && *shjson == "" && *hjson == "" {
-			return
-		}
-	}
-
-	if *ajson != "" {
-		rep, figs, err := bench.RunAudit(cfg)
-		// A failed gate still writes its report — CI archives the
-		// evidence before the step fails.
-		if rep != nil {
-			if data, jerr := rep.JSON(); jerr == nil {
-				if werr := os.WriteFile(*ajson, append(data, '\n'), 0o644); werr == nil {
-					fmt.Printf("wrote %s\n", *ajson)
-				} else {
-					fmt.Fprintln(os.Stderr, werr)
-				}
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: audit: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		if !*all && *fig == "" && *rjson == "" && *shjson == "" && *hjson == "" {
-			return
-		}
-	}
-
-	if *rjson != "" {
-		rep, figs, err := bench.RunRead(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: read: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*rjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *rjson)
-		if !*all && *fig == "" && *shjson == "" && *hjson == "" {
-			return
-		}
-	}
-
-	if *shjson != "" {
-		rep, figs, err := bench.RunShardSweep(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: shards: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*shjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *shjson)
-		if !*all && *fig == "" && *hjson == "" {
-			return
-		}
-	}
-
-	if *hjson != "" {
-		rep, figs, err := bench.RunHotspot(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paconbench: hotspot: %v\n", err)
-			os.Exit(1)
-		}
-		for _, f := range figs {
-			fmt.Println(f.String())
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*hjson, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *hjson)
-		if !*all && *fig == "" {
-			return
-		}
-	}
-
 	var ids []string
 	switch {
 	case *all:
@@ -228,6 +85,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *jsonTo != "" && len(ids) != 1 {
+		fmt.Fprintln(os.Stderr, "paconbench: -json needs -fig: a report holds one experiment")
+		os.Exit(2)
+	}
 
 	fmt.Printf("# paconbench: %d client nodes x %d clients/node, %d items/client\n\n",
 		cfg.MaxNodes, cfg.ClientsPerNode, cfg.ItemsPerClient)
@@ -235,6 +96,17 @@ func main() {
 	for _, id := range ids {
 		start := time.Now()
 		figs, err := bench.Run(id, cfg)
+		if *jsonTo != "" && figs != nil {
+			data, jerr := bench.JSON(id, cfg, figs)
+			if jerr == nil {
+				jerr = os.WriteFile(*jsonTo, append(data, '\n'), 0o644)
+			}
+			if jerr != nil {
+				fmt.Fprintln(os.Stderr, "paconbench:", jerr)
+				os.Exit(1)
+			}
+			fmt.Printf("wrote %s\n", *jsonTo)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paconbench: %s: %v\n", id, err)
 			os.Exit(1)

@@ -81,7 +81,7 @@ func createOPSVariant(cfg Config, clients int, mutate func(*core.RegionConfig)) 
 func ablAsync(cfg Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "abl-async", Title: "Ablation: asynchronous vs synchronous commit (create)",
-		XLabel: "clients", YLabel: "OPS",
+		YLabel: "OPS",
 		Series: []string{"Pacon", "Pacon-sync-commit", "BeeGFS"},
 	}
 	for _, clients := range cfg.clientCounts(false) {
@@ -101,7 +101,7 @@ func ablAsync(cfg Config) ([]*Figure, error) {
 			return nil, err
 		}
 		row["BeeGFS"] = bee
-		f.AddPoint(fmt.Sprintf("%d", clients), row)
+		f.AddPoint(map[string]string{"clients": fmt.Sprint(clients)}, row)
 	}
 	f.Note("async commit contributes %.1fx of Pacon's create throughput at max scale",
 		f.Last("Pacon")/f.Last("Pacon-sync-commit"))
@@ -115,7 +115,7 @@ func ablAsync(cfg Config) ([]*Figure, error) {
 func ablPerm(cfg Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "abl-perm", Title: "Ablation: batch vs hierarchical permission check (random stat of leaf dirs)",
-		XLabel: "depth", YLabel: "OPS",
+		YLabel: "OPS",
 		Series: []string{"Pacon-batch", "Pacon-hierarchical"},
 	}
 	clients := cfg.MaxNodes / 2 * cfg.ClientsPerNode
@@ -156,7 +156,7 @@ func ablPerm(cfg Config) ([]*Figure, error) {
 			return nil, fmt.Errorf("abl-perm depth %d hier: %w", depth, err)
 		}
 		row["Pacon-batch"], row["Pacon-hierarchical"] = batch, hier
-		f.AddPoint(fmt.Sprintf("%d", depth), row)
+		f.AddPoint(map[string]string{"depth": fmt.Sprint(depth)}, row)
 	}
 	f.Note("at depth 6, batch permissions deliver %.1fx over per-component checking",
 		f.Last("Pacon-batch")/f.Last("Pacon-hierarchical"))
@@ -170,7 +170,7 @@ func ablPerm(cfg Config) ([]*Figure, error) {
 func ablInline(cfg Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "abl-inline", Title: "Ablation: inline small files vs DFS write-through (1 KiB create+write+read)",
-		XLabel: "clients", YLabel: "file round-trips per second",
+		YLabel: "file round-trips per second",
 		Series: []string{"Pacon-inline", "Pacon-no-inline"},
 	}
 	run := func(clients, threshold int) (float64, error) {
@@ -226,7 +226,7 @@ func ablInline(cfg Config) ([]*Figure, error) {
 			return nil, err
 		}
 		row["Pacon-inline"], row["Pacon-no-inline"] = inline, none
-		f.AddPoint(fmt.Sprintf("%d", clients), row)
+		f.AddPoint(map[string]string{"clients": fmt.Sprint(clients)}, row)
 	}
 	f.Note("inlining small files yields %.1fx on 1 KiB file round-trips at max scale",
 		f.Last("Pacon-inline")/f.Last("Pacon-no-inline"))

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"pacon/internal/chaos"
@@ -13,94 +13,61 @@ import (
 // with a clean post-drain audit — zero divergent, zero stale-pending.
 // The report is what CI's audit-check step archives.
 func init() {
-	register("audit", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunAudit(cfg)
-		return figs, err
-	})
+	register("audit", func(cfg Config) ([]*Figure, error) { return runAudit(auditSchedules(cfg)) })
 }
 
-// AuditSeed is one chaos schedule's audit outcome.
-type AuditSeed struct {
-	Seed         int64 `json:"seed"`
-	ClientOps    int   `json:"client_ops"`
-	Injected     int   `json:"injected_faults"`
-	Stalls       int   `json:"injected_stalls"`
-	Sampled      int   `json:"sampled"`
-	Matched      int   `json:"matched"`
-	StalePending int   `json:"stale_pending"`
-	Divergent    int   `json:"divergent"`
-}
-
-// AuditReport is the machine-readable result (AUDIT_report.json).
-type AuditReport struct {
-	Experiment   string      `json:"experiment"`
-	Seeds        []AuditSeed `json:"seeds"`
-	TotalSampled int         `json:"total_sampled"`
-	// AllClean is the gate: true iff every seed audited with zero
-	// divergent and zero stale-pending keys.
-	AllClean bool `json:"all_clean"`
-}
-
-// JSON renders the report for AUDIT_report.json.
-func (r *AuditReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// RunAudit drives the chaos harness across a spread of seeds and
-// fault mixes, collecting each run's post-drain audit. Any divergence
-// (or harness violation of any kind) is an error, not a data point.
-func RunAudit(cfg Config) (*AuditReport, []*Figure, error) {
-	ops := cfg.ItemsPerClient
-	if ops < 20 {
-		ops = 20
-	}
-	schedules := []chaos.Config{
+// auditSchedules is the gate's spread of seeds and fault mixes.
+func auditSchedules(cfg Config) []chaos.Config {
+	ops := max(cfg.ItemsPerClient, 20)
+	return []chaos.Config{
 		{Seed: 1, Nodes: 2, Clients: 4, Ops: ops, FaultRate: 0.05, MaxFaultsPerPath: 2},
 		{Seed: 2, Nodes: 3, Clients: 6, Ops: ops, FaultRate: 0.1, MaxFaultsPerPath: 2, StallEveryN: 7},
 		{Seed: 3, Nodes: 2, Clients: 4, Ops: ops, Rmdir: true, DoomedDirs: 2},
 		{Seed: 4, Nodes: 2, Clients: 4, Ops: ops, CacheCapacityBytes: 16 << 10},
 	}
+}
 
-	rep := &AuditReport{
-		Experiment: "divergence audit over chaos schedules: committed cache entries vs DFS",
-		AllClean:   true,
-	}
+// runAudit runs every schedule and records its post-drain audit. A
+// harness violation (of any kind) or an unclean audit fails the gate,
+// but the failing seed is still recorded — with its counts and the
+// number of violations — and the figure is returned together with the
+// error, so the report that fails the gate carries its evidence.
+func runAudit(schedules []chaos.Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "audit", Title: "Post-drain divergence audit across chaos schedules",
-		XLabel: "seed", YLabel: "keys",
-		Series: []string{"sampled", "matched", "stale-pending", "divergent"},
+		YLabel: "keys",
+		Series: []string{"sampled", "matched", "stale_pending", "divergent", "violations"},
 	}
+	var errs []error
+	sampled := 0
 	for _, sc := range schedules {
 		res, err := chaos.Run(sc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("audit seed %d: %w", sc.Seed, err)
-		}
 		a := res.Audit
-		rep.Seeds = append(rep.Seeds, AuditSeed{
-			Seed:         sc.Seed,
-			ClientOps:    res.ClientOps,
-			Injected:     res.Injected,
-			Stalls:       res.Stalls,
-			Sampled:      a.Sampled,
-			Matched:      a.Matched,
-			StalePending: a.StalePending,
-			Divergent:    a.Divergent,
-		})
-		rep.TotalSampled += a.Sampled
-		if a.Divergent > 0 || a.StalePending > 0 {
-			rep.AllClean = false
+		violations := 0
+		if err != nil {
+			violations = 1
+			if j, ok := err.(interface{ Unwrap() []error }); ok {
+				violations = len(j.Unwrap())
+			}
+			errs = append(errs, fmt.Errorf("audit seed %d: %w", sc.Seed, err))
+		} else if a.Divergent > 0 || a.StalePending > 0 {
+			errs = append(errs, fmt.Errorf("audit seed %d: divergence or post-drain stale-pending detected", sc.Seed))
 		}
-		f.AddPoint(fmt.Sprintf("%d", sc.Seed), map[string]float64{
-			"sampled":       float64(a.Sampled),
-			"matched":       float64(a.Matched),
-			"stale-pending": float64(a.StalePending),
-			"divergent":     float64(a.Divergent),
+		sampled += a.Sampled
+		f.AddPoint(map[string]string{"seed": fmt.Sprint(sc.Seed)}, map[string]float64{
+			"client_ops":      float64(res.ClientOps),
+			"injected_faults": float64(res.Injected),
+			"injected_stalls": float64(res.Stalls),
+			"sampled":         float64(a.Sampled),
+			"matched":         float64(a.Matched),
+			"stale_pending":   float64(a.StalePending),
+			"divergent":       float64(a.Divergent),
+			"violations":      float64(violations),
 		})
 	}
-	f.Note("%d keys audited across %d schedules; all clean: %v",
-		rep.TotalSampled, len(rep.Seeds), rep.AllClean)
-	if !rep.AllClean {
-		return rep, []*Figure{f}, fmt.Errorf("audit gate failed: divergence or post-drain stale-pending detected")
+	f.Note("%d keys audited across %d schedules; all clean: %v", sampled, len(schedules), len(errs) == 0)
+	if len(errs) > 0 {
+		return []*Figure{f}, fmt.Errorf("audit gate failed: %w", errors.Join(errs...))
 	}
-	return rep, []*Figure{f}, nil
+	return []*Figure{f}, nil
 }

@@ -24,7 +24,7 @@ func init() {
 func extBatchFS(cfg Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "ext-batchfs", Title: "Extension: N-N checkpoint creates — IndexFS vs BatchFS-mode vs Pacon",
-		XLabel: "clients", YLabel: "create OPS (bulk includes final merge)",
+		YLabel: "create OPS (bulk includes final merge)",
 		Series: []string{"IndexFS", "BatchFS(bulk)", "Pacon"},
 	}
 	for _, clients := range cfg.clientCounts(false) {
@@ -41,7 +41,7 @@ func extBatchFS(cfg Config) ([]*Figure, error) {
 			return nil, fmt.Errorf("ext-batchfs pacon @%d: %w", clients, err)
 		}
 		row["Pacon"] = ops
-		f.AddPoint(fmt.Sprintf("%d", clients), row)
+		f.AddPoint(map[string]string{"clients": fmt.Sprint(clients)}, row)
 	}
 	f.Note("BatchFS-mode/Pacon at max scale = %.2fx — private metadata wins raw inserts by dropping the shared view (no global namespace until merge)",
 		f.Last("BatchFS(bulk)")/f.Last("Pacon"))

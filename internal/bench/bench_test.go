@@ -19,11 +19,11 @@ func tiny() Config {
 
 func TestFigureRendering(t *testing.T) {
 	f := &Figure{
-		ID: "figX", Title: "Demo", XLabel: "x", YLabel: "ops",
+		ID: "figX", Title: "Demo", YLabel: "ops",
 		Series: []string{"A", "B"},
 	}
-	f.AddPoint("1", map[string]float64{"A": 1500, "B": 2.5e6})
-	f.AddPoint("2", map[string]float64{"A": 42, "B": 0})
+	f.AddPoint(map[string]string{"x": "1"}, map[string]float64{"A": 1500, "B": 2.5e6, "hidden": 9})
+	f.AddPoint(map[string]string{"x": "2"}, map[string]float64{"A": 42, "B": 0})
 	f.Note("hello %d", 7)
 
 	s := f.String()
@@ -36,12 +36,17 @@ func TestFigureRendering(t *testing.T) {
 	if !strings.HasPrefix(csv, "x,A,B\n") || !strings.Contains(csv, "1,1500,2.5e+06") {
 		t.Fatalf("csv = %q", csv)
 	}
+	// The table and CSV show only the series; other metrics ride the
+	// JSON report.
+	if strings.Contains(s, "hidden") || strings.Contains(csv, "hidden") {
+		t.Fatalf("non-series metric rendered:\n%s\n%s", s, csv)
+	}
 }
 
 func TestFigureAccessors(t *testing.T) {
 	f := &Figure{Series: []string{"S"}}
-	f.AddPoint("p0", map[string]float64{"S": 10})
-	f.AddPoint("p1", map[string]float64{"S": 20})
+	f.AddPoint(map[string]string{"p": "0"}, map[string]float64{"S": 10})
+	f.AddPoint(map[string]string{"p": "1"}, map[string]float64{"S": 20})
 	if f.Value(0, "S") != 10 || f.Last("S") != 20 {
 		t.Fatal("accessors wrong")
 	}

@@ -1,8 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"pacon/internal/obs"
@@ -17,70 +17,7 @@ import (
 // round trips per created file, backend round trips, and end-to-end
 // virtual throughput including the drain. The comparison against the
 // retired client-side Get+CAS commit path is frozen in EXPERIMENTS.md.
-func init() {
-	register("commit", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunCommit(cfg)
-		return figs, err
-	})
-}
-
-// CommitVariant is one configuration's measurements in the commit
-// experiment (also one point of its shard sweep).
-type CommitVariant struct {
-	OpsSubmitted int64 `json:"ops_submitted"`
-	Creates      int64 `json:"creates"`
-	// Region commit-path counters after the drain.
-	OpsCommitted int64 `json:"ops_committed"`
-	Coalesced    int64 `json:"coalesced"`
-	CacheRPCs    int64 `json:"cache_rpcs"`
-	BackendRPCs  int64 `json:"backend_rpcs"`
-	BatchRPCs    int64 `json:"batch_rpcs"`
-	BatchedOps   int64 `json:"batched_ops"`
-	// CacheRPCsPerCreate is the headline: commit-path cache round trips
-	// spent per created file.
-	CacheRPCsPerCreate float64 `json:"cache_rpcs_per_create"`
-	// VirtualOPS is client ops per second of virtual time, measured to
-	// the end of the drain (the backup copies all landed).
-	VirtualOPS float64 `json:"virtual_ops_per_sec"`
-	// MDSQueueWaitNSPerOp is the mean virtual queueing delay per op at
-	// the MDS pool — how long metadata requests waited for a worker.
-	MDSQueueWaitNSPerOp float64 `json:"mds_queue_wait_ns_per_op,omitempty"`
-	// StageLatency holds wall-clock {count, p50, p95, p99} per pipeline
-	// stage (client_op, queue_wait, cache_rpc, dfs_rpc, commit_lag, ...)
-	// from the run's observability sink. Wall time is real host time —
-	// orthogonal to VirtualOPS, which obs never perturbs.
-	StageLatency map[string]obs.Quantiles `json:"stage_latency_ns,omitempty"`
-	// Staleness is the consistency-lag digest for the variant: how far
-	// the backup copy trailed the primary during the run.
-	Staleness *StalenessBlock `json:"staleness_ns,omitempty"`
-}
-
-// StalenessBlock summarizes a variant's consistency lag, all in
-// wall-clock nanoseconds. CommitLag digests per-op enqueue→durable-apply
-// lag; MaxStaleness digests the region-wide oldest-unacked watermark as
-// ticked by a wall-clock sampler while the workload and drain ran; Peak
-// is the largest single commit lag the region ever acknowledged.
-type StalenessBlock struct {
-	CommitLag       obs.Quantiles `json:"commit_lag"`
-	MaxStaleness    obs.Quantiles `json:"max_staleness"`
-	PeakCommitLagNS int64         `json:"peak_commit_lag_ns"`
-}
-
-// CommitReport is the machine-readable result (BENCH_commit.json).
-type CommitReport struct {
-	Experiment     string        `json:"experiment"`
-	Clients        int           `json:"clients"`
-	ItemsPerClient int           `json:"items_per_client"`
-	Batched        CommitVariant `json:"batched"`
-	// ShardSweep reruns the batched commit wave at the configured MDS
-	// shard counts (subtree-partitioned metadata service).
-	ShardSweep *ShardSweep `json:"shard_sweep,omitempty"`
-}
-
-// JSON renders the report for BENCH_commit.json.
-func (r *CommitReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
+func init() { register("commit", runCommit) }
 
 // commitPhase is one client's slice of the commit workload: it runs
 // `items` iterations from `now` and returns the new time and op count.
@@ -115,146 +52,106 @@ func defaultCommitPhase(payload []byte) commitPhase {
 	}
 }
 
-// runCommitVariant drives the workload against the shipped region
-// configuration and collects the variant's counters. A nil phase runs
-// the default create+write+remove mix.
-func runCommitVariant(cfg Config, clients int, o *obs.Obs, phase commitPhase) (CommitVariant, error) {
+// runCommitVariant drives the workload with half the cluster's clients
+// against the shipped region configuration and measures the commit
+// path. Alongside the run's stage quantiles, the point carries the
+// region's peak acknowledged commit lag; the stages include the
+// commit_lag digest and max_staleness, the region-wide oldest-unacked
+// watermark ticked by a wall-clock sampler while the workload and drain
+// ran.
+func runCommitVariant(cfg Config, phase commitPhase) (Point, error) {
+	clients := cfg.halfCluster(2)
 	e := newEnv(cfg, cfg.nodesFor(clients))
 	defer e.close()
-	if o != nil {
-		e.instrument(o)
-	}
+	o := obs.New()
+	e.instrument(o)
 	if err := e.provision("/w"); err != nil {
-		return CommitVariant{}, err
+		return Point{}, err
 	}
 	cls, err := e.paconVariantClients(clients, "/w", nil)
 	if err != nil {
-		return CommitVariant{}, err
+		return Point{}, err
 	}
 	region := e.regions[len(e.regions)-1]
 
 	// Sample the region's staleness watermark on the wall clock for the
 	// whole run (workload + drain). The sampler reads atomics/short locks
-	// only and never touches virtual time, so VirtualOPS is unaffected.
-	var samplerStop chan struct{}
-	var samplerDone chan struct{}
-	stopSampler := func() {
-		if samplerStop != nil {
-			close(samplerStop)
-			<-samplerDone
-			samplerStop = nil
-		}
-	}
+	// only and never touches virtual time, so virtual throughput is
+	// unaffected.
+	samplerStop := make(chan struct{})
+	samplerDone := make(chan struct{})
+	stopSampler := sync.OnceFunc(func() {
+		close(samplerStop)
+		<-samplerDone
+	})
 	defer stopSampler()
-	if o != nil {
-		samplerStop = make(chan struct{})
-		samplerDone = make(chan struct{})
-		go func() {
-			defer close(samplerDone)
-			tick := time.NewTicker(time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-samplerStop:
-					return
-				case <-tick.C:
-					o.Hist(obs.HistMaxStaleness).RecordN(region.MaxStaleness())
-				}
+	go func() {
+		defer close(samplerDone)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-samplerStop:
+				return
+			case <-tick.C:
+				o.Hist(obs.HistMaxStaleness).RecordN(region.MaxStaleness())
 			}
-		}()
-	}
+		}
+	}()
 
 	runner := workload.NewRunner(cls)
-	if phase == nil {
-		phase = defaultCommitPhase(make([]byte, 256))
-	}
 	items := cfg.ItemsPerClient
 	res, err := runner.RunPhase(func(idx int, cl workload.Client, now vclock.Time) (vclock.Time, int64, error) {
 		return phase(idx, cl.(workload.FileClient), now, items)
 	})
 	if err != nil {
-		return CommitVariant{}, err
+		return Point{}, err
 	}
 	done, err := region.Drain(res.End)
 	if err != nil {
-		return CommitVariant{}, err
+		return Point{}, err
 	}
+	stopSampler()
 
 	st := region.Stats()
 	creates := int64(clients * items)
-	v := CommitVariant{
-		OpsSubmitted: res.Ops,
-		Creates:      creates,
-		OpsCommitted: st.Committed,
-		Coalesced:    st.Coalesced,
-		CacheRPCs:    st.CacheRPCs,
-		BackendRPCs:  st.BackendRPCs,
-		BatchRPCs:    st.BatchRPCs,
-		BatchedOps:   st.BatchedOps,
-	}
-	if creates > 0 {
-		v.CacheRPCsPerCreate = float64(st.CacheRPCs) / float64(creates)
-	}
-	if elapsed := done - res.Start; elapsed > 0 {
-		v.VirtualOPS = float64(res.Ops) / vclock.Duration(elapsed).Seconds()
-	}
-	v.MDSQueueWaitNSPerOp = e.mdsQueueWaitPerOp()
-	if o != nil {
-		stopSampler()
-		q := o.HistQuantiles()
-		v.StageLatency = q
-		v.Staleness = &StalenessBlock{
-			CommitLag:       q[obs.HistCommitLag],
-			MaxStaleness:    q[obs.HistMaxStaleness],
-			PeakCommitLagNS: region.MaxCommitLag(),
-		}
-	}
-	return v, nil
+	return measured(map[string]float64{
+		"clients":          float64(clients),
+		"items_per_client": float64(items),
+		"ops_submitted":    float64(res.Ops),
+		"creates":          float64(creates),
+		"ops_committed":    float64(st.Committed),
+		"coalesced":        float64(st.Coalesced),
+		"cache_rpcs":       float64(st.CacheRPCs),
+		"backend_rpcs":     float64(st.BackendRPCs),
+		"batch_rpcs":       float64(st.BatchRPCs),
+		"batched_ops":      float64(st.BatchedOps),
+		// The headline: commit-path cache round trips per created file.
+		"cache_rpcs_per_create": ratio(st.CacheRPCs, creates),
+		// Measured to the end of the drain: the backup copies all landed.
+		"virtual_ops_per_sec":      opsPerSec(res.Ops, vclock.Duration(done-res.Start)),
+		"mds_queue_wait_ns_per_op": e.mdsQueueWaitPerOp(),
+		"peak_commit_lag_ns":       float64(region.MaxCommitLag()),
+	}, o), nil
 }
 
-// RunCommit executes the commit experiment and derives its report.
-func RunCommit(cfg Config) (*CommitReport, []*Figure, error) {
-	clients := cfg.nodesFor(cfg.MaxNodes*cfg.ClientsPerNode) * cfg.ClientsPerNode / 2
-	if clients < 2 {
-		clients = 2
-	}
-	batched, err := runCommitVariant(cfg, clients, obs.New(), nil)
+func runCommit(cfg Config) ([]*Figure, error) {
+	p, err := runCommitVariant(cfg, defaultCommitPhase(make([]byte, 256)))
 	if err != nil {
-		return nil, nil, fmt.Errorf("commit batched variant: %w", err)
+		return nil, fmt.Errorf("commit: %w", err)
 	}
-	rep := &CommitReport{
-		Experiment:     "commit-path round trips: conditional+coalesced+batched",
-		Clients:        clients,
-		ItemsPerClient: cfg.ItemsPerClient,
-		Batched:        batched,
-	}
-
+	p.Params = map[string]string{"variant": "batched"}
 	f := &Figure{
 		ID: "commit", Title: "Commit path: conditional+coalesced+batched",
-		XLabel: "variant", YLabel: "see series",
-		Series: []string{"cacheRPCs/create", "backendRPCs", "committed", "coalesced", "virtualOPS"},
+		YLabel: "see series",
+		Series: []string{"cache_rpcs_per_create", "backend_rpcs", "ops_committed", "coalesced", "virtual_ops_per_sec"},
+		Points: []Point{p},
 	}
-	f.AddPoint("batched", map[string]float64{
-		"cacheRPCs/create": batched.CacheRPCsPerCreate,
-		"backendRPCs":      float64(batched.BackendRPCs),
-		"committed":        float64(batched.OpsCommitted),
-		"coalesced":        float64(batched.Coalesced),
-		"virtualOPS":       batched.VirtualOPS,
-	})
-	f.Note("cache round trips per created file: %.2f", batched.CacheRPCsPerCreate)
-	f.Note("backend round trips: %d (%d ops rode %d apply_batch RPCs)",
-		batched.BackendRPCs, batched.BatchedOps, batched.BatchRPCs)
-	f.Note("virtual throughput incl. drain: %.0f ops/s", batched.VirtualOPS)
-	if batched.Staleness != nil {
-		f.Note("peak commit lag (wall): %v", time.Duration(batched.Staleness.PeakCommitLagNS))
-	}
-	if len(cfg.ShardSweep) > 0 {
-		sweep, err := runCommitShardSweep(cfg, cfg.ShardSweep)
-		if err != nil {
-			return nil, nil, fmt.Errorf("commit shard sweep: %w", err)
-		}
-		rep.ShardSweep = sweep
-		annotateSweep(f, sweep)
-	}
-	return rep, []*Figure{f}, nil
+	m := p.Metrics
+	f.Note("cache round trips per created file: %.2f", m["cache_rpcs_per_create"])
+	f.Note("backend round trips: %.0f (%.0f ops rode %.0f apply_batch RPCs)",
+		m["backend_rpcs"], m["batched_ops"], m["batch_rpcs"])
+	f.Note("virtual throughput incl. drain: %.0f ops/s", m["virtual_ops_per_sec"])
+	f.Note("peak commit lag (wall): %v", time.Duration(m["peak_commit_lag_ns"]))
+	return []*Figure{f}, nil
 }

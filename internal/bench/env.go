@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one runner per figure of the
 // paper's motivation and evaluation sections (Figs 1, 2, 7, 8, 9, 10,
 // 11, 12), each rebuilding a fresh deployment per data point and driving
-// it with the workload package. cmd/paconbench and bench_test.go are
-// thin wrappers over this package.
+// it with the workload package. Every experiment returns Figures, and
+// JSON renders one experiment's figures as its machine-readable report.
+// cmd/paconbench and bench_test.go are thin wrappers over this package.
 package bench
 
 import (
@@ -54,8 +55,8 @@ type Config struct {
 	// (0 = unsharded; 1 = sharded code path with one shard, the honest
 	// router-overhead baseline). The shard sweep sets this per point.
 	MDSShards int
-	// ShardSweep lists the MDS shard counts the commit/read/scale
-	// reports additionally sweep (empty = no sweep block).
+	// ShardSweep lists the MDS shard counts the shards experiment runs
+	// the commit, read and scale workloads at.
 	ShardSweep []int
 }
 
@@ -293,4 +294,47 @@ func (c Config) nodesFor(clients int) int {
 		n = c.MaxNodes
 	}
 	return n
+}
+
+// halfCluster is the commit and read experiments' client population:
+// half the full cluster's clients, at least min.
+func (c Config) halfCluster(min int) int {
+	n := c.nodesFor(c.MaxNodes*c.ClientsPerNode) * c.ClientsPerNode / 2
+	if n < min {
+		n = min
+	}
+	return n
+}
+
+// fanInClients is the multiplexed fan-in the hotspot experiment and the
+// scale shard sweep run at: the largest configured scale point at or
+// below 10k simulated clients (harness cost, not model cost, dominates
+// above that).
+func (c Config) fanInClients() int {
+	clients := 0
+	for _, n := range c.scaleScales() {
+		if n <= 10_000 && n > clients {
+			clients = n
+		}
+	}
+	if clients == 0 {
+		clients = c.scaleScales()[0]
+	}
+	return clients
+}
+
+// opsPerSec is ops per second of virtual time (0 for an empty window).
+func opsPerSec(ops int64, elapsed vclock.Duration) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(ops) / elapsed.Seconds()
+}
+
+// ratio is num/den (0 when den is 0).
+func ratio(num, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }

@@ -68,7 +68,7 @@ func runPhases(cfg Config, sys System, clients int) (mkdir, create, stat float64
 func fig1(cfg Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "fig1", Title: "Client Scalability (file creation, normalized)",
-		XLabel: "clients", YLabel: "throughput multiple vs 1 client",
+		YLabel: "throughput multiple vs 1 client",
 		Series: []string{string(BeeGFS), string(IndexFS)},
 	}
 	base := map[System]float64{}
@@ -84,11 +84,11 @@ func fig1(cfg Config) ([]*Figure, error) {
 			}
 			row[string(sys)] = create / base[sys]
 		}
-		f.AddPoint(fmt.Sprintf("%d", clients), row)
+		f.AddPoint(map[string]string{"clients": fmt.Sprint(clients)}, row)
 	}
 	last := len(f.Points) - 1
 	f.Note("at %s clients: BeeGFS %.1fx, IndexFS %.1fx (paper Fig 1: both plateau far below linear)",
-		f.Points[last].X, f.Value(last, string(BeeGFS)), f.Value(last, string(IndexFS)))
+		f.Points[last].Params["clients"], f.Value(last, string(BeeGFS)), f.Value(last, string(IndexFS)))
 	return []*Figure{f}, nil
 }
 
@@ -131,7 +131,7 @@ func fig9(cfg Config) ([]*Figure, error) {
 func pathTraversal(cfg Config, id, title string, systems []System) ([]*Figure, error) {
 	f := &Figure{
 		ID: id, Title: title + " (random stat of fanout-5 leaf dirs)",
-		XLabel: "depth", YLabel: "OPS",
+		YLabel: "OPS",
 	}
 	for _, s := range systems {
 		f.Series = append(f.Series, string(s))
@@ -149,7 +149,7 @@ func pathTraversal(cfg Config, id, title string, systems []System) ([]*Figure, e
 			}
 			row[string(sys)] = ops
 		}
-		f.AddPoint(fmt.Sprintf("%d", depth), row)
+		f.AddPoint(map[string]string{"depth": fmt.Sprint(depth)}, row)
 	}
 	for _, sys := range systems {
 		s := string(sys)
@@ -162,9 +162,9 @@ func pathTraversal(cfg Config, id, title string, systems []System) ([]*Figure, e
 // fig7 — single-application case: mkdir / create / random stat
 // throughput for 2..16 nodes (20 clients each) on all three systems.
 func fig7(cfg Config) ([]*Figure, error) {
-	mk := &Figure{ID: "fig7-mkdir", Title: "Single-application: mkdir", XLabel: "nodes", YLabel: "OPS"}
-	cr := &Figure{ID: "fig7-create", Title: "Single-application: create", XLabel: "nodes", YLabel: "OPS"}
-	st := &Figure{ID: "fig7-stat", Title: "Single-application: random stat", XLabel: "nodes", YLabel: "OPS"}
+	mk := &Figure{ID: "fig7-mkdir", Title: "Single-application: mkdir", YLabel: "OPS"}
+	cr := &Figure{ID: "fig7-create", Title: "Single-application: create", YLabel: "OPS"}
+	st := &Figure{ID: "fig7-stat", Title: "Single-application: random stat", YLabel: "OPS"}
 	systems := []System{BeeGFS, IndexFS, Pacon}
 	for _, f := range []*Figure{mk, cr, st} {
 		for _, s := range systems {
@@ -180,7 +180,7 @@ func fig7(cfg Config) ([]*Figure, error) {
 			}
 			rows[0][string(sys)], rows[1][string(sys)], rows[2][string(sys)] = m, c, s
 		}
-		x := fmt.Sprintf("%d", nodes)
+		x := map[string]string{"nodes": fmt.Sprint(nodes)}
 		mk.AddPoint(x, rows[0])
 		cr.AddPoint(x, rows[1])
 		st.AddPoint(x, rows[2])
@@ -195,9 +195,9 @@ func fig7(cfg Config) ([]*Figure, error) {
 // fig8 — multi-application case: 2..16 concurrent applications over a
 // fixed 320-client cluster, overall throughput per op.
 func fig8(cfg Config) ([]*Figure, error) {
-	mk := &Figure{ID: "fig8-mkdir", Title: "Multi-application: mkdir", XLabel: "apps", YLabel: "total OPS"}
-	cr := &Figure{ID: "fig8-create", Title: "Multi-application: create", XLabel: "apps", YLabel: "total OPS"}
-	st := &Figure{ID: "fig8-stat", Title: "Multi-application: random stat", XLabel: "apps", YLabel: "total OPS"}
+	mk := &Figure{ID: "fig8-mkdir", Title: "Multi-application: mkdir", YLabel: "total OPS"}
+	cr := &Figure{ID: "fig8-create", Title: "Multi-application: create", YLabel: "total OPS"}
+	st := &Figure{ID: "fig8-stat", Title: "Multi-application: random stat", YLabel: "total OPS"}
 	systems := []System{BeeGFS, IndexFS, Pacon}
 	for _, f := range []*Figure{mk, cr, st} {
 		for _, s := range systems {
@@ -214,7 +214,7 @@ func fig8(cfg Config) ([]*Figure, error) {
 			}
 			rows[0][string(sys)], rows[1][string(sys)], rows[2][string(sys)] = m, c, s
 		}
-		x := fmt.Sprintf("%d", apps)
+		x := map[string]string{"apps": fmt.Sprint(apps)}
 		mk.AddPoint(x, rows[0])
 		cr.AddPoint(x, rows[1])
 		st.AddPoint(x, rows[2])
@@ -323,7 +323,7 @@ func runMultiApp(cfg Config, sys System, apps, totalClients int) (mkdir, create,
 func fig10(cfg Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "fig10", Title: "Pacon Overhead (single client mkdir vs raw memcached insert)",
-		XLabel: "depth", YLabel: "OPS",
+		YLabel: "OPS",
 		Series: []string{string(BeeGFS), string(IndexFS), string(Pacon), string(Memcached)},
 	}
 	items := cfg.ItemsPerClient * 4 // single client: cheap, use more samples
@@ -341,7 +341,7 @@ func fig10(cfg Config) ([]*Figure, error) {
 			return nil, err
 		}
 		row[string(Memcached)] = ops
-		f.AddPoint(fmt.Sprintf("%d", depth), row)
+		f.AddPoint(map[string]string{"depth": fmt.Sprint(depth)}, row)
 	}
 	ratio := f.Last(string(Pacon)) / f.Last(string(Memcached))
 	f.Note("Pacon reaches %.0f%% of raw memcached throughput (paper: >64.6%%)", 100*ratio)
@@ -418,12 +418,12 @@ func rawMemcachedInsertOPS(cfg Config, depth, items int) (float64, error) {
 func fig11(cfg Config) ([]*Figure, error) {
 	norm := &Figure{
 		ID: "fig11", Title: "Scalability (file creation, normalized per system)",
-		XLabel: "clients", YLabel: "multiple of own 1-client throughput",
+		YLabel: "multiple of own 1-client throughput",
 		Series: []string{string(BeeGFS), string(IndexFS), string(Pacon)},
 	}
 	abs := &Figure{
 		ID: "fig11-abs", Title: "Scalability (file creation, absolute)",
-		XLabel: "clients", YLabel: "OPS",
+		YLabel: "OPS",
 		Series: []string{string(BeeGFS), string(IndexFS), string(Pacon)},
 	}
 	base := map[System]float64{}
@@ -441,12 +441,12 @@ func fig11(cfg Config) ([]*Figure, error) {
 			nrow[string(sys)] = create / base[sys]
 			arow[string(sys)] = create
 		}
-		x := fmt.Sprintf("%d", clients)
+		x := map[string]string{"clients": fmt.Sprint(clients)}
 		norm.AddPoint(x, nrow)
 		abs.AddPoint(x, arow)
 	}
 	norm.Note("at %s clients: Pacon scales %.1fx better than BeeGFS (paper: ~16.5x) and %.1fx better than IndexFS (paper: ~2.8x)",
-		norm.Points[len(norm.Points)-1].X,
+		norm.Points[len(norm.Points)-1].Params["clients"],
 		norm.Last(string(Pacon))/norm.Last(string(BeeGFS)),
 		norm.Last(string(Pacon))/norm.Last(string(IndexFS)))
 	abs.Note("Pacon absolute create throughput at max clients: %.2fM OPS (paper: >1M OPS at 320 clients)",
@@ -459,7 +459,7 @@ func fig11(cfg Config) ([]*Figure, error) {
 func fig12(cfg Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "fig12", Title: "MADbench2 runtime breakdown (normalized to BeeGFS total)",
-		XLabel: "part", YLabel: "fraction of BeeGFS total runtime",
+		YLabel: "fraction of BeeGFS total runtime",
 		Series: []string{string(BeeGFS), string(Pacon)},
 	}
 	bee, err := RunMADbench(cfg, BeeGFS)
@@ -472,7 +472,7 @@ func fig12(cfg Config) ([]*Figure, error) {
 	}
 	total := bee.Total().Seconds()
 	add := func(part string, b, p float64) {
-		f.AddPoint(part, map[string]float64{
+		f.AddPoint(map[string]string{"part": part}, map[string]float64{
 			string(BeeGFS): b / total,
 			string(Pacon):  p / total,
 		})

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 
@@ -18,80 +17,28 @@ import (
 // multi-key reads, scoped barriers — reported as batched_scoped). The
 // comparison against the retired per-key read path and full-drain
 // barriers is frozen in EXPERIMENTS.md.
-func init() {
-	register("read", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunRead(cfg)
-		return figs, err
-	})
-}
-
-// ReadVariant is one configuration's measurements over the mix phase.
-type ReadVariant struct {
-	Readdirs int64 `json:"readdirs"`
-	Stats    int64 `json:"stats"`
-	// ReadOps = Readdirs + Stats: the denominator of the headline.
-	ReadOps int64 `json:"read_ops"`
-	// CacheRPCs is the reader clients' metadata-cache round trips during
-	// the mix (a multi-key call counts once per owner contacted).
-	CacheRPCs      int64   `json:"cache_rpcs"`
-	CacheRPCsPerOp float64 `json:"cache_rpcs_per_op"`
-	// CacheWarms counts listing/miss-loaded entries that stayed cached.
-	CacheWarms int64 `json:"cache_warms"`
-	// BarriersScoped/Full split the mix's dependent-op barriers by
-	// whether participant shrinking engaged.
-	BarriersScoped int64 `json:"barriers_scoped"`
-	BarriersFull   int64 `json:"barriers_full"`
-	// BarrierWait quantiles (wall ns) over every barrier in the run.
-	BarrierWaitP50 int64 `json:"barrier_wait_p50_ns"`
-	BarrierWaitP95 int64 `json:"barrier_wait_p95_ns"`
-	BarrierWaitP99 int64 `json:"barrier_wait_p99_ns"`
-	// VirtualOPS is mix-phase ops (readers + writers) per second of
-	// virtual time.
-	VirtualOPS float64 `json:"virtual_ops_per_sec"`
-	// MDSQueueWaitNSPerOp is the mean virtual queueing delay per op at
-	// the MDS pool (time waiting for a free worker slot).
-	MDSQueueWaitNSPerOp float64                  `json:"mds_queue_wait_ns_per_op,omitempty"`
-	StageLatency        map[string]obs.Quantiles `json:"stage_latency_ns,omitempty"`
-}
-
-// ReadReport is the machine-readable result (BENCH_read.json).
-type ReadReport struct {
-	Experiment      string      `json:"experiment"`
-	Clients         int         `json:"clients"`
-	Readers         int         `json:"readers"`
-	Writers         int         `json:"writers"`
-	FilesPerSubtree int         `json:"files_per_subtree"`
-	Rounds          int         `json:"rounds"`
-	BatchedScoped   ReadVariant `json:"batched_scoped"`
-	// ShardSweep reruns the batched+scoped mix at the configured MDS
-	// shard counts (subtree-partitioned metadata service).
-	ShardSweep *ShardSweep `json:"shard_sweep,omitempty"`
-}
-
-// JSON renders the report for BENCH_read.json.
-func (r *ReadReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
+func init() { register("read", runRead) }
 
 // readRounds is how many readdir+stat sweeps each reader performs;
 // even rounds list the reader's own hot subtree, odd rounds a
 // DFS-resident cold one (first touch exercises the bulk miss-load).
 const readRounds = 4
 
-// runReadVariant drives the populate and mix phases against the shipped
-// region configuration and collects the variant's counters.
-func runReadVariant(cfg Config, clients int, o *obs.Obs) (ReadVariant, error) {
+// runReadVariant drives the populate and mix phases with half the
+// cluster's clients (a quarter of them writers) against the shipped
+// region configuration and measures the mix phase.
+func runReadVariant(cfg Config) (Point, error) {
+	clients := cfg.halfCluster(4)
 	e := newEnv(cfg, cfg.nodesFor(clients))
 	defer e.close()
-	if o != nil {
-		e.instrument(o)
-	}
+	o := obs.New()
+	e.instrument(o)
 	if err := e.provision("/w"); err != nil {
-		return ReadVariant{}, err
+		return Point{}, err
 	}
 	cls, err := e.paconVariantClients(clients, "/w", nil)
 	if err != nil {
-		return ReadVariant{}, err
+		return Point{}, err
 	}
 	region := e.regions[len(e.regions)-1]
 	pcs := make([]*core.Client, clients)
@@ -123,10 +70,10 @@ func runReadVariant(cfg Config, clients int, o *obs.Obs) (ReadVariant, error) {
 		return now, int64(items + 1), nil
 	})
 	if err != nil {
-		return ReadVariant{}, fmt.Errorf("populate: %w", err)
+		return Point{}, fmt.Errorf("populate: %w", err)
 	}
 	if _, err := region.Drain(res.End); err != nil {
-		return ReadVariant{}, err
+		return Point{}, err
 	}
 	// Cold subtrees land on the DFS behind the region's back (the
 	// administrator writes them): the first listing must bulk miss-load.
@@ -134,11 +81,11 @@ func runReadVariant(cfg Config, clients int, o *obs.Obs) (ReadVariant, error) {
 	for i := writers; i < clients; i++ {
 		dir := fmt.Sprintf("/w/cold%d", i)
 		if _, err := admin.Mkdir(0, dir, 0o777); err != nil {
-			return ReadVariant{}, err
+			return Point{}, err
 		}
 		for j := 0; j < items; j++ {
 			if _, err := admin.Create(0, fmt.Sprintf("%s/f%d", dir, j), 0o666); err != nil {
-				return ReadVariant{}, err
+				return Point{}, err
 			}
 		}
 	}
@@ -210,7 +157,7 @@ func runReadVariant(cfg Config, clients int, o *obs.Obs) (ReadVariant, error) {
 		return now, ops, nil
 	})
 	if err != nil {
-		return ReadVariant{}, fmt.Errorf("mix: %w", err)
+		return Point{}, fmt.Errorf("mix: %w", err)
 	}
 
 	st1 := region.Stats()
@@ -218,78 +165,46 @@ func runReadVariant(cfg Config, clients int, o *obs.Obs) (ReadVariant, error) {
 	for i := writers; i < clients; i++ {
 		rpc1 += pcs[i].CacheRPCs()
 	}
-	v := ReadVariant{
-		Readdirs:       readdirs.Load(),
-		Stats:          stats.Load(),
-		ReadOps:        readdirs.Load() + stats.Load(),
-		CacheRPCs:      rpc1 - rpc0,
-		CacheWarms:     st1.CacheWarms - st0.CacheWarms,
-		BarriersScoped: st1.BarriersScoped - st0.BarriersScoped,
-		BarriersFull:   st1.BarriersFull - st0.BarriersFull,
-	}
-	if v.ReadOps > 0 {
-		v.CacheRPCsPerOp = float64(v.CacheRPCs) / float64(v.ReadOps)
-	}
-	if mix.Elapsed > 0 {
-		v.VirtualOPS = float64(mix.Ops) / mix.Elapsed.Seconds()
-	}
-	v.MDSQueueWaitNSPerOp = e.mdsQueueWaitPerOp()
-	if o != nil {
-		q := o.HistQuantiles()
-		v.StageLatency = q
-		bw := q[obs.HistBarrierWait]
-		v.BarrierWaitP50, v.BarrierWaitP95, v.BarrierWaitP99 = bw.P50, bw.P95, bw.P99
-	}
-	return v, nil
+	readOps := readdirs.Load() + stats.Load()
+	bw := o.HistQuantiles()[obs.HistBarrierWait]
+	return measured(map[string]float64{
+		"clients":                  float64(clients),
+		"readers":                  float64(clients - writers),
+		"writers":                  float64(writers),
+		"files_per_subtree":        float64(items),
+		"rounds":                   readRounds,
+		"readdirs":                 float64(readdirs.Load()),
+		"stats":                    float64(stats.Load()),
+		"read_ops":                 float64(readOps),
+		"cache_rpcs":               float64(rpc1 - rpc0),
+		"cache_rpcs_per_op":        ratio(rpc1-rpc0, readOps),
+		"cache_warms":              float64(st1.CacheWarms - st0.CacheWarms),
+		"barriers_scoped":          float64(st1.BarriersScoped - st0.BarriersScoped),
+		"barriers_full":            float64(st1.BarriersFull - st0.BarriersFull),
+		"barrier_wait_p50_ns":      float64(bw.P50),
+		"barrier_wait_p95_ns":      float64(bw.P95),
+		"barrier_wait_p99_ns":      float64(bw.P99),
+		"virtual_ops_per_sec":      opsPerSec(mix.Ops, mix.Elapsed),
+		"mds_queue_wait_ns_per_op": e.mdsQueueWaitPerOp(),
+	}, o), nil
 }
 
-// RunRead executes the read experiment and derives its report.
-func RunRead(cfg Config) (*ReadReport, []*Figure, error) {
-	clients := cfg.nodesFor(cfg.MaxNodes*cfg.ClientsPerNode) * cfg.ClientsPerNode / 2
-	if clients < 4 {
-		clients = 4
-	}
-	writers := clients / 4
-	if writers < 1 {
-		writers = 1
-	}
-	scoped, err := runReadVariant(cfg, clients, obs.New())
+func runRead(cfg Config) ([]*Figure, error) {
+	p, err := runReadVariant(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("read batched_scoped variant: %w", err)
+		return nil, fmt.Errorf("read: %w", err)
 	}
-	rep := &ReadReport{
-		Experiment:      "read path: batched reads + scoped barriers",
-		Clients:         clients,
-		Readers:         clients - writers,
-		Writers:         writers,
-		FilesPerSubtree: cfg.ItemsPerClient,
-		Rounds:          readRounds,
-		BatchedScoped:   scoped,
-	}
-
+	p.Params = map[string]string{"variant": "batched_scoped"}
 	f := &Figure{
 		ID: "read", Title: "Read path: batched reads + scoped barriers",
-		XLabel: "variant", YLabel: "see series",
-		Series: []string{"cacheRPCs/op", "barrierWaitP95us", "warms", "scopedBarriers", "virtualOPS"},
+		YLabel: "see series",
+		Series: []string{"cache_rpcs_per_op", "barrier_wait_p95_ns", "cache_warms", "barriers_scoped", "virtual_ops_per_sec"},
+		Points: []Point{p},
 	}
-	f.AddPoint("batched_scoped", map[string]float64{
-		"cacheRPCs/op":     scoped.CacheRPCsPerOp,
-		"barrierWaitP95us": float64(scoped.BarrierWaitP95) / 1e3,
-		"warms":            float64(scoped.CacheWarms),
-		"scopedBarriers":   float64(scoped.BarriersScoped),
-		"virtualOPS":       scoped.VirtualOPS,
-	})
-	f.Note("cache RPCs per read op: %.2f", scoped.CacheRPCsPerOp)
-	f.Note("p95 barrier wait under sibling writers: %.0fus (%d scoped, %d full barriers)",
-		float64(scoped.BarrierWaitP95)/1e3, scoped.BarriersScoped, scoped.BarriersFull)
-	f.Note("%d entries warmed into the cache from listings/miss-loads", scoped.CacheWarms)
-	if len(cfg.ShardSweep) > 0 {
-		sweep, err := runReadShardSweep(cfg, cfg.ShardSweep)
-		if err != nil {
-			return nil, nil, fmt.Errorf("read shard sweep: %w", err)
-		}
-		rep.ShardSweep = sweep
-		annotateSweep(f, sweep)
-	}
-	return rep, []*Figure{f}, nil
+	m := p.Metrics
+	f.Note("cache RPCs per read op: %.2f", m["cache_rpcs_per_op"])
+	f.Note("p95 barrier wait under sibling writers: %.0fus (%.0f scoped, %.0f full barriers)",
+		m["barrier_wait_p95_ns"]/1e3, m["barriers_scoped"], m["barriers_full"])
+	f.Note("%.0f entries warmed into the cache from listings/miss-loads", m["cache_warms"])
+	return []*Figure{f}, nil
 }

@@ -1,32 +1,45 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
+
+	"pacon/internal/obs"
 )
 
-// Figure is one reproduced table/figure: series of Y values over X
-// points, plus derived headline notes ("Pacon/BeeGFS = 84x ...").
+// Figure is the result every experiment returns: rows of named metrics,
+// each row identified by its parameters, plus derived headline notes
+// ("Pacon/BeeGFS = 84x ..."). The text table and CSV show the Series
+// columns; the JSON report (see JSON) carries every metric.
 type Figure struct {
 	ID     string // e.g. "fig7-create"
 	Title  string
-	XLabel string
 	YLabel string
-	Series []string // column order
+	Series []string // table/CSV column order: keys of Point.Metrics
 	Points []Point
 	Notes  []string
 }
 
-// Point is one row: an X value and each series' Y.
+// Point is one row: the parameters that identify it, every number
+// measured there, and — for runs with an observability sink attached —
+// the per-stage wall-clock latency quantiles (see measured).
 type Point struct {
-	X string
-	Y map[string]float64
+	Params  map[string]string        `json:"params"`
+	Metrics map[string]float64       `json:"metrics"`
+	Stages  map[string]obs.Quantiles `json:"stages,omitempty"`
 }
 
 // AddPoint appends a row.
-func (f *Figure) AddPoint(x string, y map[string]float64) {
-	f.Points = append(f.Points, Point{X: x, Y: y})
+func (f *Figure) AddPoint(params map[string]string, metrics map[string]float64) {
+	f.Points = append(f.Points, Point{Params: params, Metrics: metrics})
+}
+
+// measured builds a point from a run's metrics and the stage quantiles
+// of the sink that observed it.
+func measured(metrics map[string]float64, o *obs.Obs) Point {
+	return Point{Metrics: metrics, Stages: o.HistQuantiles()}
 }
 
 // Note records a derived observation.
@@ -39,11 +52,34 @@ func (f *Figure) Value(i int, s string) float64 {
 	if i < 0 || i >= len(f.Points) {
 		return 0
 	}
-	return f.Points[i].Y[s]
+	return f.Points[i].Metrics[s]
 }
 
 // Last returns series s at the final row.
 func (f *Figure) Last(s string) float64 { return f.Value(len(f.Points)-1, s) }
+
+// paramKeys returns the parameter names in table order (sorted); a
+// paper figure has exactly one, its x axis.
+func (f *Figure) paramKeys() []string {
+	if len(f.Points) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(f.Points[0].Params))
+	for k := range f.Points[0].Params {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// label renders a point's parameters in key order, "/"-joined.
+func (p Point) label(keys []string) string {
+	vals := make([]string, len(keys))
+	for i, k := range keys {
+		vals[i] = p.Params[k]
+	}
+	return strings.Join(vals, "/")
+}
 
 // String renders an aligned text table.
 func (f *Figure) String() string {
@@ -51,12 +87,13 @@ func (f *Figure) String() string {
 	fmt.Fprintf(&b, "== %s: %s ==\n", f.ID, f.Title)
 	fmt.Fprintf(&b, "   (y = %s)\n", f.YLabel)
 
-	headers := append([]string{f.XLabel}, f.Series...)
+	keys := f.paramKeys()
+	headers := append([]string{strings.Join(keys, "/")}, f.Series...)
 	rows := make([][]string, 0, len(f.Points))
 	for _, p := range f.Points {
-		row := []string{p.X}
+		row := []string{p.label(keys)}
 		for _, s := range f.Series {
-			row = append(row, formatY(p.Y[s]))
+			row = append(row, formatY(p.Metrics[s]))
 		}
 		rows = append(rows, row)
 	}
@@ -90,16 +127,17 @@ func (f *Figure) String() string {
 // CSV renders the figure as comma-separated values.
 func (f *Figure) CSV() string {
 	var b strings.Builder
-	b.WriteString(f.XLabel)
+	keys := f.paramKeys()
+	b.WriteString(strings.Join(keys, "/"))
 	for _, s := range f.Series {
 		b.WriteByte(',')
 		b.WriteString(s)
 	}
 	b.WriteByte('\n')
 	for _, p := range f.Points {
-		b.WriteString(p.X)
+		b.WriteString(p.label(keys))
 		for _, s := range f.Series {
-			fmt.Fprintf(&b, ",%g", p.Y[s])
+			fmt.Fprintf(&b, ",%g", p.Metrics[s])
 		}
 		b.WriteByte('\n')
 	}
@@ -121,15 +159,50 @@ func formatY(v float64) string {
 	}
 }
 
-// Registry maps figure IDs to their runners, so cmd/paconbench can list
-// and select them.
+// JSON renders one experiment's figures as its report:
+// {experiment, config, points: [{params, metrics, stages}], notes}.
+// Every metric is written, zeros included. When the experiment emits
+// several figures, each point's params gain a "figure" key naming the
+// figure it belongs to, so params stay unique within the report.
+func JSON(experiment string, cfg Config, figs []*Figure) ([]byte, error) {
+	doc := struct {
+		Experiment string   `json:"experiment"`
+		Config     Config   `json:"config"`
+		Points     []Point  `json:"points"`
+		Notes      []string `json:"notes"`
+	}{Experiment: experiment, Config: cfg, Points: []Point{}, Notes: []string{}}
+	for _, f := range figs {
+		for _, p := range f.Points {
+			if len(figs) > 1 {
+				params := map[string]string{"figure": f.ID}
+				for k, v := range p.Params {
+					params[k] = v
+				}
+				p.Params = params
+			}
+			doc.Points = append(doc.Points, p)
+		}
+		for _, n := range f.Notes {
+			if len(figs) > 1 {
+				n = f.ID + ": " + n
+			}
+			doc.Notes = append(doc.Notes, n)
+		}
+	}
+	return json.MarshalIndent(doc, "", "  ")
+}
+
+// Registry maps experiment IDs to their runners, so cmd/paconbench can
+// list and select them.
 type Runner func(Config) ([]*Figure, error)
 
 var registry = map[string]Runner{}
 
 func register(id string, r Runner) { registry[id] = r }
 
-// Run executes one registered experiment.
+// Run executes one registered experiment. A runner that fails a gate
+// (the audit) returns its figures together with the error, so the
+// failing run's evidence can still be rendered.
 func Run(id string, cfg Config) ([]*Figure, error) {
 	r, ok := registry[id]
 	if !ok {

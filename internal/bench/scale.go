@@ -1,11 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
 
+	"pacon/internal/core"
 	"pacon/internal/obs"
 	"pacon/internal/vclock"
 	"pacon/internal/workload"
@@ -22,12 +22,7 @@ import (
 // about one operation of its siblings, so the virtual-time overlap that
 // drives resource queueing is preserved even though only S goroutines
 // exist in real time.
-func init() {
-	register("scale", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunScale(cfg)
-		return figs, err
-	})
-}
+func init() { register("scale", runScale) }
 
 // maxShardGoroutines caps real concurrency: each shard goroutine
 // multiplexes clients/S simulated client clocks.
@@ -43,58 +38,6 @@ const scaleWindow = 20 * vclock.DefaultPacerWindow
 
 // scaleWarmPaths is the shared stat working set (pre-created files).
 const scaleWarmPaths = 1024
-
-// ScalePoint is one client-count measurement.
-type ScalePoint struct {
-	Clients int `json:"clients"`
-	Nodes   int `json:"nodes"`
-	Shards  int `json:"shard_goroutines"`
-	// MDSShards is the metadata-service shard count backing the point
-	// (1 = the single shared-tree MDS; >1 = subtree-partitioned pool).
-	MDSShards    int   `json:"mds_shards"`
-	OpsPerClient int   `json:"ops_per_client"`
-	Ops          int64 `json:"ops"`
-	Creates      int64 `json:"creates"`
-	StatOps      int64 `json:"stats"`
-	// VirtualOPS is client ops per second of virtual time, measured to
-	// the end of the drain.
-	VirtualOPS float64 `json:"virtual_ops_per_sec"`
-	// MDSQueueWaitNSPerOp is the mean virtual queueing delay per op at
-	// the MDS pool (time waiting for a free worker slot).
-	MDSQueueWaitNSPerOp float64 `json:"mds_queue_wait_ns_per_op,omitempty"`
-	// WallSeconds is real host time for the measured phase plus drain —
-	// what a million simulated clients cost the harness, not the model.
-	WallSeconds float64 `json:"wall_seconds"`
-	CacheRPCs   int64   `json:"cache_rpcs"`
-	BackendRPCs int64   `json:"backend_rpcs"`
-	Coalesced   int64   `json:"coalesced"`
-	// StageLatency holds wall-clock {count, p50, p95, p99} per pipeline
-	// stage histogram — including the tracer's critpath_* segment
-	// attributions — so a scale regression points at the stage that
-	// moved, not just the headline number.
-	StageLatency map[string]obs.Quantiles `json:"stage_latency_ns,omitempty"`
-	// Trace reports the causal tracer's sampling behavior at this scale
-	// (head-sample rate, spans sampled, anomalous spans tail-kept):
-	// proof the tracer ran at the default rate during the sweep.
-	Trace *obs.TraceStats `json:"trace,omitempty"`
-}
-
-// ScaleReport is the machine-readable result (BENCH_scale.json).
-type ScaleReport struct {
-	Experiment     string       `json:"experiment"`
-	OpsBudget      int          `json:"ops_budget"`
-	WarmPaths      int          `json:"warm_paths"`
-	Points         []ScalePoint `json:"points"`
-	PeakVirtualOPS float64      `json:"peak_virtual_ops_per_sec"`
-	// ShardSweep reruns one scale point at the configured MDS shard
-	// counts (subtree-partitioned metadata service).
-	ShardSweep *ShardSweep `json:"shard_sweep,omitempty"`
-}
-
-// JSON renders the report for BENCH_scale.json.
-func (r *ScaleReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
 
 // scaleScales returns the client counts to sweep.
 func (c Config) scaleScales() []int {
@@ -112,35 +55,51 @@ func (c Config) scaleBudget() int {
 	return 1 << 20
 }
 
-// runScalePoint measures one client count against a fresh deployment.
-func runScalePoint(cfg Config, clients int, warm []string) (ScalePoint, error) {
-	start := time.Now()
-	e := newEnv(cfg, cfg.nodesFor(clients))
-	defer e.close()
-	// The sweep runs with tracing live at the default 1-in-64 head rate:
-	// the point is to measure the service with its observability on, and
-	// to prove the sampler survives a million multiplexed clients.
-	o := obs.New()
-	e.instrument(o)
-	if err := e.provision("/w"); err != nil {
-		return ScalePoint{}, err
-	}
-	shards := clients
-	if shards > maxShardGoroutines {
-		shards = maxShardGoroutines
-	}
-	cls, err := e.paconClients(shards, "/w")
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	region := e.regions[len(e.regions)-1]
-	runner := workload.NewRunner(cls)
+// muxOp picks simulated client c's k-th operation: stat path, or create
+// it when create is set.
+type muxOp func(c, k int) (path string, create bool)
 
-	// Warm phase: pre-create the shared stat working set, striped over
-	// the shards, then barrier (RunPhase's exit) before measuring.
-	_, err = runner.RunPhase(func(idx int, cl workload.Client, now vclock.Time) (vclock.Time, int64, error) {
+// mux is the multiplexed-client harness behind the scale and hotspot
+// experiments: one fresh instrumented deployment whose region serves at
+// most maxShardGoroutines shard goroutines, each standing in for
+// clients/shards simulated clients.
+type mux struct {
+	cfg     Config
+	e       *env
+	o       *obs.Obs
+	region  *core.Region
+	runner  *workload.Runner
+	clients int
+	shards  int
+	start   time.Time
+}
+
+// newMux deploys the harness for `clients` simulated clients, provisions
+// dirs, and runs the warm phase: warm is pre-created, striped over the
+// shard goroutines, and RunPhase's exit is the barrier before measuring.
+// The caller closes the returned harness.
+func newMux(cfg Config, clients int, dirs, warm []string) (*mux, error) {
+	m := &mux{cfg: cfg, clients: clients, shards: min(clients, maxShardGoroutines), start: time.Now()}
+	m.e = newEnv(cfg, cfg.nodesFor(clients))
+	// Tracing runs live at the default 1-in-64 head rate: the point is to
+	// measure the service with its observability on, and to prove the
+	// sampler survives a million multiplexed clients.
+	m.o = obs.New()
+	m.e.instrument(m.o)
+	if err := m.e.provision(dirs...); err != nil {
+		m.close()
+		return nil, err
+	}
+	cls, err := m.e.paconClients(m.shards, "/w")
+	if err != nil {
+		m.close()
+		return nil, err
+	}
+	m.region = m.e.regions[len(m.e.regions)-1]
+	m.runner = workload.NewRunner(cls)
+	_, err = m.runner.RunPhase(func(idx int, cl workload.Client, now vclock.Time) (vclock.Time, int64, error) {
 		var ops int64
-		for i := idx; i < len(warm); i += shards {
+		for i := idx; i < len(warm); i += m.shards {
 			var err error
 			if now, err = cl.Create(now, warm[i], 0o644); err != nil {
 				return now, ops, err
@@ -150,19 +109,29 @@ func runScalePoint(cfg Config, clients int, warm []string) (ScalePoint, error) {
 		return now, ops, nil
 	})
 	if err != nil {
-		return ScalePoint{}, fmt.Errorf("warm phase: %w", err)
+		m.close()
+		return nil, fmt.Errorf("warm phase: %w", err)
 	}
+	return m, nil
+}
 
-	opsPer := cfg.scaleBudget() / clients
-	if opsPer < 1 {
-		opsPer = 1
-	}
+func (m *mux) close() { m.e.close() }
+
+// run is the measured phase plus drain. Each simulated client performs
+// the budget's share of operations, chosen by the muxOp that newOp
+// returns for its shard goroutine (so per-shard state, like a zipf
+// stream, stays goroutine-local). It returns the point's common metrics
+// and the measured virtual window.
+func (m *mux) run(newOp func(shard int) muxOp) (map[string]float64, vclock.Duration, error) {
+	clients, shards := m.clients, m.shards
+	opsPer := max(m.cfg.scaleBudget()/clients, 1)
 	var creates, stats atomic.Int64
-	res, err := runner.RunPhaseWindow(scaleWindow, func(idx int, cl workload.Client, phaseStart vclock.Time) (vclock.Time, int64, error) {
+	res, err := m.runner.RunPhaseWindow(scaleWindow, func(idx int, cl workload.Client, phaseStart vclock.Time) (vclock.Time, int64, error) {
 		// This shard owns simulated clients {c : c % shards == idx},
 		// each with its own virtual clock. Sweeps advance them
 		// round-robin: one op per client per sweep, so sibling clocks
 		// stay within about one operation of each other.
+		op := newOp(idx)
 		n := (clients - idx + shards - 1) / shards
 		clocks := make([]vclock.Time, n)
 		for i := range clocks {
@@ -173,17 +142,13 @@ func runScalePoint(cfg Config, clients int, warm []string) (ScalePoint, error) {
 			for i := 0; i < n; i++ {
 				c := idx + i*shards
 				now := clocks[i]
+				path, create := op(c, k)
 				var err error
-				if (c+k)%8 == 0 {
-					// 1-in-8 creates; client-unique names.
-					p := fmt.Sprintf("/w/s%d.%d", c, k)
-					now, err = cl.Create(now, p, 0o644)
+				if create {
+					now, err = cl.Create(now, path, 0o644)
 					myCreates++
 				} else {
-					// Stat a pseudo-random warm path (Weyl-style index
-					// so the sequence is deterministic per client).
-					j := (uint32(c)*2654435761 + uint32(k)*40503) % uint32(len(warm))
-					_, now, err = cl.Stat(now, warm[j])
+					_, now, err = cl.Stat(now, path)
 				}
 				if err != nil {
 					return now, ops, err
@@ -203,87 +168,96 @@ func runScalePoint(cfg Config, clients int, warm []string) (ScalePoint, error) {
 		return end, ops, nil
 	})
 	if err != nil {
-		return ScalePoint{}, err
+		return nil, 0, err
 	}
-	done, err := region.Drain(res.End)
+	done, err := m.region.Drain(res.End)
 	if err != nil {
-		return ScalePoint{}, err
+		return nil, 0, err
 	}
-
-	st := region.Stats()
-	mdsShards := cfg.MDSShards
-	if mdsShards < 1 {
-		mdsShards = 1
-	}
-	pt := ScalePoint{
-		Clients:      clients,
-		Nodes:        cfg.nodesFor(clients),
-		Shards:       shards,
-		MDSShards:    mdsShards,
-		OpsPerClient: opsPer,
-		Ops:          res.Ops,
-		Creates:      creates.Load(),
-		StatOps:      stats.Load(),
-		WallSeconds:  time.Since(start).Seconds(),
-		CacheRPCs:    st.CacheRPCs,
-		BackendRPCs:  st.BackendRPCs,
-		Coalesced:    st.Coalesced,
-	}
-	if elapsed := done - res.Start; elapsed > 0 {
-		pt.VirtualOPS = float64(res.Ops) / vclock.Duration(elapsed).Seconds()
-	}
-	pt.MDSQueueWaitNSPerOp = e.mdsQueueWaitPerOp()
-	pt.StageLatency = o.HistQuantiles()
-	ts := o.TraceStats()
-	pt.Trace = &ts
-	return pt, nil
+	window := vclock.Duration(done - res.Start)
+	return map[string]float64{
+		"clients":          float64(clients),
+		"shard_goroutines": float64(shards),
+		"mds_shards":       float64(max(m.cfg.MDSShards, 1)),
+		"ops_budget":       float64(m.cfg.scaleBudget()),
+		"ops_per_client":   float64(opsPer),
+		"ops":              float64(res.Ops),
+		"creates":          float64(creates.Load()),
+		"stats":            float64(stats.Load()),
+		// Client ops per second of virtual time, to the end of the drain.
+		"virtual_ops_per_sec": opsPerSec(res.Ops, window),
+		// Host time for the whole point — what the simulated clients
+		// cost the harness, not the model.
+		"wall_seconds": time.Since(m.start).Seconds(),
+		// Mean virtual wait for a free MDS worker slot per metadata op.
+		"mds_queue_wait_ns_per_op": m.e.mdsQueueWaitPerOp(),
+	}, window, nil
 }
 
-// RunScale sweeps the configured client counts and derives the report.
-func RunScale(cfg Config) (*ScaleReport, []*Figure, error) {
+// runScalePoint measures one client count against a fresh deployment:
+// 1-in-8 creates of client-unique names, the rest stats of the shared
+// warm working set. The stages include the tracer's critpath_* segment
+// attributions, so a scale regression points at the stage that moved;
+// the trace_* metrics prove the tracer sampled at this scale.
+func runScalePoint(cfg Config, clients int) (Point, error) {
 	warm := make([]string, scaleWarmPaths)
 	for i := range warm {
 		warm[i] = fmt.Sprintf("/w/warm%d", i)
 	}
-
-	rep := &ScaleReport{
-		Experiment: "client scalability: multiplexed simulated clients, 1/8 create + 7/8 stat",
-		OpsBudget:  cfg.scaleBudget(),
-		WarmPaths:  scaleWarmPaths,
+	m, err := newMux(cfg, clients, []string{"/w"}, warm)
+	if err != nil {
+		return Point{}, err
 	}
+	defer m.close()
+	metrics, _, err := m.run(func(int) muxOp {
+		return func(c, k int) (string, bool) {
+			if (c+k)%8 == 0 {
+				return fmt.Sprintf("/w/s%d.%d", c, k), true
+			}
+			// A pseudo-random warm path (Weyl-style index so the
+			// sequence is deterministic per client).
+			return warm[(uint32(c)*2654435761+uint32(k)*40503)%uint32(len(warm))], false
+		}
+	})
+	if err != nil {
+		return Point{}, err
+	}
+	st := m.region.Stats()
+	ts := m.o.TraceStats()
+	metrics["nodes"] = float64(cfg.nodesFor(clients))
+	metrics["warm_paths"] = scaleWarmPaths
+	metrics["cache_rpcs"] = float64(st.CacheRPCs)
+	metrics["backend_rpcs"] = float64(st.BackendRPCs)
+	metrics["coalesced"] = float64(st.Coalesced)
+	metrics["trace_sample_n"] = float64(ts.SampleN)
+	metrics["trace_spans_sampled"] = float64(ts.Sampled)
+	metrics["trace_spans_tail_kept"] = float64(ts.TailKept)
+	metrics["trace_flight_dumps"] = float64(ts.FlightDumps)
+	return measured(metrics, m.o), nil
+}
+
+// runScale sweeps the configured client counts.
+func runScale(cfg Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "scale", Title: "Throughput vs simulated client count (multiplexed harness)",
-		XLabel: "clients", YLabel: "ops/s (virtual)",
-		Series: []string{"virtualOPS", "shards", "wallSec"},
+		YLabel: "ops/s (virtual)",
+		Series: []string{"virtual_ops_per_sec", "shard_goroutines", "wall_seconds"},
 	}
+	peak := 0.0
 	for _, n := range cfg.scaleScales() {
-		pt, err := runScalePoint(cfg, n, warm)
+		p, err := runScalePoint(cfg, n)
 		if err != nil {
-			return nil, nil, fmt.Errorf("scale point %d clients: %w", n, err)
+			return nil, fmt.Errorf("scale point %d clients: %w", n, err)
 		}
-		rep.Points = append(rep.Points, pt)
-		if pt.VirtualOPS > rep.PeakVirtualOPS {
-			rep.PeakVirtualOPS = pt.VirtualOPS
-		}
-		f.AddPoint(fmt.Sprintf("%d", n), map[string]float64{
-			"virtualOPS": pt.VirtualOPS,
-			"shards":     float64(pt.Shards),
-			"wallSec":    pt.WallSeconds,
-		})
+		p.Params = map[string]string{"clients": fmt.Sprint(n)}
+		f.Points = append(f.Points, p)
+		peak = max(peak, p.Metrics["virtual_ops_per_sec"])
 	}
-	if len(rep.Points) > 0 {
-		last := rep.Points[len(rep.Points)-1]
-		f.Note("%d simulated clients multiplexed onto %d goroutines: %.0f virtual ops/s, %.1fs wall",
-			last.Clients, last.Shards, last.VirtualOPS, last.WallSeconds)
-		f.Note("peak virtual throughput across scales: %.0f ops/s", rep.PeakVirtualOPS)
+	if len(f.Points) > 0 {
+		last := f.Points[len(f.Points)-1].Metrics
+		f.Note("%.0f simulated clients multiplexed onto %.0f goroutines: %.0f virtual ops/s, %.1fs wall",
+			last["clients"], last["shard_goroutines"], last["virtual_ops_per_sec"], last["wall_seconds"])
+		f.Note("peak virtual throughput across scales: %.0f ops/s", peak)
 	}
-	if len(cfg.ShardSweep) > 0 {
-		sweep, err := runScaleShardSweep(cfg, cfg.ShardSweep, warm)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scale shard sweep: %w", err)
-		}
-		rep.ShardSweep = sweep
-		annotateSweep(f, sweep)
-	}
-	return rep, []*Figure{f}, nil
+	return []*Figure{f}, nil
 }

@@ -25,7 +25,7 @@ func init() {
 func ablModel(cfg Config) ([]*Figure, error) {
 	rttFig := &Figure{
 		ID: "abl-model-rtt", Title: "Sensitivity: cross-node RTT sweep (create, max clients)",
-		XLabel: "RTT", YLabel: "OPS",
+		YLabel: "OPS",
 		Series: []string{string(BeeGFS), string(Pacon), "ratio"},
 	}
 	clients := cfg.MaxNodes * cfg.ClientsPerNode
@@ -36,12 +36,12 @@ func ablModel(cfg Config) ([]*Figure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("abl-model rtt %v: %w", rtt, err)
 		}
-		rttFig.AddPoint(rtt.String(), row)
+		rttFig.AddPoint(map[string]string{"RTT": rtt.String()}, row)
 	}
 
 	mdsFig := &Figure{
 		ID: "abl-model-mds", Title: "Sensitivity: MDS write cost sweep (create, max clients)",
-		XLabel: "MDS write", YLabel: "OPS",
+		YLabel: "OPS",
 		Series: []string{string(BeeGFS), string(Pacon), "ratio"},
 	}
 	for _, w := range []time.Duration{30 * time.Microsecond, 120 * time.Microsecond, 480 * time.Microsecond} {
@@ -51,7 +51,7 @@ func ablModel(cfg Config) ([]*Figure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("abl-model mds %v: %w", w, err)
 		}
-		mdsFig.AddPoint(w.String(), row)
+		mdsFig.AddPoint(map[string]string{"MDS write": w.String()}, row)
 	}
 
 	for _, f := range []*Figure{rttFig, mdsFig} {
@@ -111,7 +111,7 @@ func init() {
 func ablMultiMDS(cfg Config) ([]*Figure, error) {
 	f := &Figure{
 		ID: "abl-multimds", Title: "Ablation: scaling the MDS cluster vs Pacon (create, max clients)",
-		XLabel: "MDS count", YLabel: "OPS",
+		YLabel: "OPS",
 		Series: []string{string(BeeGFS), string(Pacon)},
 	}
 	clients := cfg.MaxNodes * cfg.ClientsPerNode
@@ -130,7 +130,7 @@ func ablMultiMDS(cfg Config) ([]*Figure, error) {
 			}
 		}
 		row[string(Pacon)] = pacon
-		f.AddPoint(fmt.Sprintf("%d", nmds), row)
+		f.AddPoint(map[string]string{"MDS count": fmt.Sprint(nmds)}, row)
 	}
 	f.Note("8 MDSes buy BeeGFS %.1fx over 1 MDS, yet Pacon still leads %.0fx — hardware scaling cannot chase client growth (§II.B)",
 		f.Last(string(BeeGFS))/f.Value(0, string(BeeGFS)),

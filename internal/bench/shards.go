@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -10,56 +9,28 @@ import (
 	"pacon/internal/workload"
 )
 
-// The shard sweep reruns an experiment's workload against the
-// subtree-partitioned metadata service (internal/dfs sharded mode) at a
-// ladder of MDS shard counts. The headline is commit-wave scaling: with
+// The shards experiment runs the commit, read and scale workloads
+// against the subtree-partitioned metadata service (internal/dfs sharded
+// mode) at each MDS shard count in Config.ShardSweep — the only place
+// those sweeps run. The headline is commit-wave scaling: with
 // the namespace spread by subtree, the per-shard service resource stops
 // being the bottleneck, virtual throughput grows toward linear with the
 // pool, and the commit pipeline's queue_wait share of the critical path
 // falls. Every point that degrades more than 10% below the single-shard
 // baseline carries an explicit note — the sweep reports regressions, it
 // does not hide them.
-func init() {
-	register("shards", func(cfg Config) ([]*Figure, error) {
-		_, figs, err := RunShardSweep(cfg)
-		return figs, err
-	})
-}
+func init() { register("shards", runShards) }
 
-// ShardPoint is one shard-count measurement of a sweep.
-type ShardPoint struct {
-	Shards int `json:"shards"`
-	// VirtualOPS is the workload's ops per second of virtual time at
-	// this shard count (same meaning as the host report's headline).
-	VirtualOPS float64 `json:"virtual_ops_per_sec"`
-	// Speedup is VirtualOPS relative to the sweep's 1-shard point.
-	Speedup float64 `json:"speedup_vs_1shard"`
-	// QueueWaitShare is queue_wait's share of the traced critical path
-	// (Σ count×p50 over the critpath_* histograms), when tracing ran.
-	// Wall-clock, so it reflects host scheduling as much as the model.
-	QueueWaitShare float64 `json:"queue_wait_critpath_share,omitempty"`
-	// MDSQueueWaitNSPerOp is the mean *virtual* queueing delay per op at
-	// the MDS pool — the saturation signal the sweep exists to relieve.
-	MDSQueueWaitNSPerOp float64 `json:"mds_queue_wait_ns_per_op,omitempty"`
-	BatchRPCs           int64   `json:"batch_rpcs,omitempty"`
-	BackendRPCs         int64   `json:"backend_rpcs,omitempty"`
-	CacheRPCs           int64   `json:"cache_rpcs,omitempty"`
-	// Note flags points that degrade >10% below single-shard.
-	Note string `json:"note,omitempty"`
-}
-
-// ShardSweep is the shard-scaling block embedded in the commit, read
-// and scale reports (and written standalone by `paconbench -shardsjson`).
-type ShardSweep struct {
-	Workload string       `json:"workload"`
-	Points   []ShardPoint `json:"points"`
-	// MaxSpeedup is the best speedup any multi-shard point reached.
-	MaxSpeedup float64 `json:"max_speedup"`
-}
-
-// JSON renders the sweep for a standalone BENCH_shards.json artifact.
-func (s *ShardSweep) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
+// sweepWorkloads are the workloads the shards experiment sweeps, in
+// report order; each measures one point at cfg.MDSShards.
+var sweepWorkloads = []struct {
+	name string
+	run  func(Config) (Point, error)
+}{
+	{"commit", func(cfg Config) (Point, error) { return runCommitVariant(cfg, shardSweepPhase) }},
+	{"read", runReadVariant},
+	// One scale point: the fan-in the hotspot experiment also runs at.
+	{"scale", func(cfg Config) (Point, error) { return runScalePoint(cfg, cfg.fanInClients()) }},
 }
 
 // queueWaitShare estimates queue_wait's share of the traced critical
@@ -82,27 +53,6 @@ func queueWaitShare(q map[string]obs.Quantiles) float64 {
 		return 0
 	}
 	return qw / total
-}
-
-// finishSweep derives speedups against the first point (the 1-shard
-// baseline) and attaches honesty notes to degraded points.
-func finishSweep(s *ShardSweep) {
-	if len(s.Points) == 0 {
-		return
-	}
-	base := s.Points[0].VirtualOPS
-	for i := range s.Points {
-		p := &s.Points[i]
-		if base > 0 {
-			p.Speedup = p.VirtualOPS / base
-		}
-		if p.Shards > 1 && p.Speedup > s.MaxSpeedup {
-			s.MaxSpeedup = p.Speedup
-		}
-		if base > 0 && p.VirtualOPS < 0.9*base {
-			p.Note = fmt.Sprintf("degrades %.0f%% vs single-shard on this workload", 100*(1-p.VirtualOPS/base))
-		}
-	}
 }
 
 // shardSweepPhase is the sweep's workload: a pure-metadata commit wave
@@ -132,142 +82,71 @@ func shardSweepPhase(idx int, fc workload.FileClient, now vclock.Time, items int
 	return now, ops, nil
 }
 
-// runCommitShardSweep reruns the batched commit wave at each shard
-// count.
-func runCommitShardSweep(cfg Config, counts []int) (*ShardSweep, error) {
-	clients := cfg.nodesFor(cfg.MaxNodes*cfg.ClientsPerNode) * cfg.ClientsPerNode / 2
-	if clients < 2 {
-		clients = 2
-	}
-	s := &ShardSweep{Workload: "commit wave: create+remove metadata ops, batched commit path"}
-	for _, n := range counts {
-		scfg := cfg
-		scfg.MDSShards = n
-		v, err := runCommitVariant(scfg, clients, obs.New(), shardSweepPhase)
-		if err != nil {
-			return nil, fmt.Errorf("shard sweep %d shards: %w", n, err)
-		}
-		s.Points = append(s.Points, ShardPoint{
-			Shards:              n,
-			VirtualOPS:          v.VirtualOPS,
-			QueueWaitShare:      queueWaitShare(v.StageLatency),
-			MDSQueueWaitNSPerOp: v.MDSQueueWaitNSPerOp,
-			BatchRPCs:           v.BatchRPCs,
-			BackendRPCs:         v.BackendRPCs,
-		})
-	}
-	finishSweep(s)
-	return s, nil
-}
-
-// runReadShardSweep reruns the batched+scoped read mix at each shard
-// count.
-func runReadShardSweep(cfg Config, counts []int) (*ShardSweep, error) {
-	clients := cfg.nodesFor(cfg.MaxNodes*cfg.ClientsPerNode) * cfg.ClientsPerNode / 2
-	if clients < 4 {
-		clients = 4
-	}
-	s := &ShardSweep{Workload: "read mix: readdir+stat sweeps with sibling writers, batched+scoped"}
-	for _, n := range counts {
-		scfg := cfg
-		scfg.MDSShards = n
-		v, err := runReadVariant(scfg, clients, obs.New())
-		if err != nil {
-			return nil, fmt.Errorf("read shard sweep %d shards: %w", n, err)
-		}
-		s.Points = append(s.Points, ShardPoint{
-			Shards:              n,
-			VirtualOPS:          v.VirtualOPS,
-			QueueWaitShare:      queueWaitShare(v.StageLatency),
-			MDSQueueWaitNSPerOp: v.MDSQueueWaitNSPerOp,
-		})
-	}
-	finishSweep(s)
-	return s, nil
-}
-
-// runScaleShardSweep reruns one scale point — the largest configured
-// client count at or below 10k (harness cost, not model cost, dominates
-// above that) — at each shard count.
-func runScaleShardSweep(cfg Config, counts []int, warm []string) (*ShardSweep, error) {
-	clients := 0
-	for _, n := range cfg.scaleScales() {
-		if n <= 10_000 && n > clients {
-			clients = n
-		}
-	}
-	if clients == 0 {
-		clients = cfg.scaleScales()[0]
-	}
-	s := &ShardSweep{Workload: fmt.Sprintf("scale point: %d multiplexed clients, 1/8 create + 7/8 stat", clients)}
-	for _, n := range counts {
-		scfg := cfg
-		scfg.MDSShards = n
-		pt, err := runScalePoint(scfg, clients, warm)
-		if err != nil {
-			return nil, fmt.Errorf("scale shard sweep %d shards: %w", n, err)
-		}
-		s.Points = append(s.Points, ShardPoint{
-			Shards:              n,
-			VirtualOPS:          pt.VirtualOPS,
-			QueueWaitShare:      queueWaitShare(pt.StageLatency),
-			MDSQueueWaitNSPerOp: pt.MDSQueueWaitNSPerOp,
-			CacheRPCs:           pt.CacheRPCs,
-			BackendRPCs:         pt.BackendRPCs,
-		})
-	}
-	finishSweep(s)
-	return s, nil
-}
-
-// RunShardSweep is the standalone experiment (`paconbench -shardsjson`,
-// `make bench-shards`): the commit-wave sweep over cfg.ShardSweep
-// (default 1/2/4/8) with its own figure.
-func RunShardSweep(cfg Config) (*ShardSweep, []*Figure, error) {
-	counts := cfg.ShardSweep
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4, 8}
-	}
-	sweep, err := runCommitShardSweep(cfg, counts)
-	if err != nil {
-		return nil, nil, err
-	}
+// runShards measures every (workload, shard count) point once. Each
+// point carries speedup_vs_1shard against its workload's first (1-shard)
+// point and queue_wait_critpath_share from its stages.
+func runShards(cfg Config) ([]*Figure, error) {
 	f := &Figure{
-		ID: "shards", Title: "Commit-wave throughput vs MDS shard count (subtree-partitioned MDS)",
-		XLabel: "shards", YLabel: "ops/s (virtual)",
-		Series: []string{"virtualOPS", "speedup", "queueWaitShare", "mdsQueueWaitUS"},
+		ID: "shards", Title: "Throughput vs MDS shard count (subtree-partitioned MDS)",
+		YLabel: "ops/s (virtual)",
+		Series: []string{"virtual_ops_per_sec", "speedup_vs_1shard", "queue_wait_critpath_share", "mds_queue_wait_ns_per_op"},
 	}
-	for _, p := range sweep.Points {
-		f.AddPoint(fmt.Sprintf("%d", p.Shards), map[string]float64{
-			"virtualOPS":     p.VirtualOPS,
-			"speedup":        p.Speedup,
-			"queueWaitShare": p.QueueWaitShare,
-			"mdsQueueWaitUS": p.MDSQueueWaitNSPerOp / 1e3,
-		})
+	for _, w := range sweepWorkloads {
+		first := len(f.Points)
+		for _, n := range cfg.ShardSweep {
+			scfg := cfg
+			scfg.MDSShards = n
+			p, err := w.run(scfg)
+			if err != nil {
+				return nil, fmt.Errorf("shards %s at %d shards: %w", w.name, n, err)
+			}
+			p.Params = map[string]string{"workload": w.name, "mds_shards": fmt.Sprint(n)}
+			p.Metrics["queue_wait_critpath_share"] = queueWaitShare(p.Stages)
+			f.Points = append(f.Points, p)
+		}
+		finishSweep(f, w.name, f.Points[first:])
 	}
-	annotateSweep(f, sweep)
-	return sweep, []*Figure{f}, nil
+	return []*Figure{f}, nil
 }
 
-// annotateSweep adds the sweep's headline notes to a figure.
-func annotateSweep(f *Figure, s *ShardSweep) {
-	if len(s.Points) < 2 {
+// finishSweep derives one workload's speedups against its first point
+// (the 1-shard baseline) and adds the sweep's headline notes. Every
+// point that degrades more than 10% below the baseline gets its own
+// note — the sweep reports regressions, it does not hide them.
+func finishSweep(f *Figure, name string, pts []Point) {
+	if len(pts) == 0 {
 		return
 	}
-	first, last := s.Points[0], s.Points[len(s.Points)-1]
-	f.Note("shard sweep (%s): %.0f -> %.0f ops/s from %d to %d shards (max speedup %.2fx)",
-		s.Workload, first.VirtualOPS, last.VirtualOPS, first.Shards, last.Shards, s.MaxSpeedup)
-	if first.MDSQueueWaitNSPerOp > 0 {
-		f.Note("MDS queue wait (virtual): %.1fus -> %.1fus per op from %d to %d shards",
-			first.MDSQueueWaitNSPerOp/1e3, last.MDSQueueWaitNSPerOp/1e3, first.Shards, last.Shards)
-	}
-	if first.QueueWaitShare > 0 && last.QueueWaitShare > 0 {
-		f.Note("queue_wait critical-path share (wall): %.0f%% at %d shard(s) -> %.0f%% at %d",
-			100*first.QueueWaitShare, first.Shards, 100*last.QueueWaitShare, last.Shards)
-	}
-	for _, p := range s.Points {
-		if p.Note != "" {
-			f.Note("%d shards: %s", p.Shards, p.Note)
+	base := pts[0].Metrics["virtual_ops_per_sec"]
+	maxSpeedup := 0.0
+	for _, p := range pts {
+		ops := p.Metrics["virtual_ops_per_sec"]
+		speedup := 0.0
+		if base > 0 {
+			speedup = ops / base
 		}
+		p.Metrics["speedup_vs_1shard"] = speedup
+		if p.Params["mds_shards"] != "1" {
+			maxSpeedup = max(maxSpeedup, speedup)
+		}
+		if base > 0 && ops < 0.9*base {
+			f.Note("%s at %s shards: degrades %.0f%% vs single-shard", name, p.Params["mds_shards"], 100*(1-ops/base))
+		}
+	}
+	if len(pts) < 2 {
+		return
+	}
+	first, last := pts[0], pts[len(pts)-1]
+	fm, lm := first.Metrics, last.Metrics
+	from, to := first.Params["mds_shards"], last.Params["mds_shards"]
+	f.Note("%s: %.0f -> %.0f ops/s from %s to %s shards (max speedup %.2fx)",
+		name, fm["virtual_ops_per_sec"], lm["virtual_ops_per_sec"], from, to, maxSpeedup)
+	if fm["mds_queue_wait_ns_per_op"] > 0 {
+		f.Note("%s: MDS queue wait (virtual) %.1fus -> %.1fus per op from %s to %s shards",
+			name, fm["mds_queue_wait_ns_per_op"]/1e3, lm["mds_queue_wait_ns_per_op"]/1e3, from, to)
+	}
+	if fm["queue_wait_critpath_share"] > 0 && lm["queue_wait_critpath_share"] > 0 {
+		f.Note("%s: queue_wait critical-path share (wall) %.0f%% at %s shard(s) -> %.0f%% at %s",
+			name, 100*fm["queue_wait_critpath_share"], from, 100*lm["queue_wait_critpath_share"], to)
 	}
 }
