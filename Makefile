@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check flake-check audit-check race-chaos bench-commit bench-read bench-scale bench-shards bench-hotspot bench-diff alloc-gate trace-check clean
+.PHONY: build test check flake-check perfbench-check audit-check race-chaos bench-commit bench-read bench-scale bench-shards bench-hotspot bench-diff alloc-gate trace-check clean
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ check: build
 # day it appears instead of scrolling past as a retry.
 flake-check: build
 	$(GO) test -count=20 ./internal/mq/ ./internal/core/ ./internal/chaos/ ./internal/dfs/ ./internal/bench/
+
+# perfbench-check vets and tests the benchmark module. It has its own
+# go.mod (replace pacon => ../), so `go build ./...` and `go test ./...`
+# at the root never compile it; about 35 s on a 2-CPU host.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # audit-check is the divergence gate: the chaos suite runs with the
 # post-drain auditor as a second convergence oracle (any divergent or

@@ -24,9 +24,9 @@ func init() { register("commit", runCommit) }
 type commitPhase func(idx int, fc workload.FileClient, now vclock.Time, items int) (vclock.Time, int64, error)
 
 // defaultCommitPhase is the report's headline workload: create + inline
-// write + every-4th remove. The inline writes ride the singleton commit
-// path by design (data writes are not batchable), so the mix exercises
-// both sides of applyWave.
+// write + every-4th remove. The inline writes that do not coalesce into
+// their create commit as data write-backs (WriteAt) outside apply_batch,
+// so the mix exercises both sides of applyWave.
 func defaultCommitPhase(payload []byte) commitPhase {
 	return func(idx int, fc workload.FileClient, now vclock.Time, items int) (vclock.Time, int64, error) {
 		var ops int64

@@ -57,12 +57,12 @@ func queueWaitShare(q map[string]obs.Quantiles) float64 {
 
 // shardSweepPhase is the sweep's workload: a pure-metadata commit wave
 // (create + every-4th remove, no data writes). The host commit report
-// keeps its create+write+remove mix, but inline writes deliberately
-// ride the singleton commit path — per-op round trips the shard router
-// cannot parallelize — so they would measure the commit loop's RPC
-// cadence, not the metadata service under test. Every op here is
-// batchable: each wave ships as one apply_batch that the router splits
-// into concurrent per-shard sub-batches.
+// keeps its create+write+remove mix, but inline writes commit as data
+// write-backs — per-op round trips the shard router cannot parallelize
+// — so they would measure the commit loop's RPC cadence, not the
+// metadata service under test. Every op here is metadata: each wave
+// ships as one apply_batch that the router splits into concurrent
+// per-shard sub-batches.
 func shardSweepPhase(idx int, fc workload.FileClient, now vclock.Time, items int) (vclock.Time, int64, error) {
 	var ops int64
 	var err error

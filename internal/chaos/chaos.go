@@ -73,19 +73,13 @@ type Config struct {
 	Rmdir bool
 	// DoomedDirs is the number of pre-created rmdir targets.
 	DoomedDirs int
-	// CommitBatchSize sets the region's dequeue/apply batch width
-	// (0 = the region default; 1 = op-at-a-time).
-	CommitBatchSize int
-	// DisableCoalesce turns off dequeue-time op merging, pinning the
-	// uncoalesced commit path under the same schedules.
-	DisableCoalesce bool
 	// LoseOneCommit deliberately breaks the schedule: the first DFS
 	// create the commit side applies reports success without ever
 	// reaching the DFS. The run must then end with violations — the
 	// knob exists to self-test the failure path end to end (the
 	// convergence oracle, the divergence auditor, and the flight
-	// recorder's dump of the lost op's cross-node span). Forces
-	// CommitBatchSize 1 so the lie lands on the op-at-a-time create.
+	// recorder's dump of the lost op's cross-node span). The lie sits in
+	// the batched commit path, the one that ships.
 	LoseOneCommit bool
 	// Shards > 1 backs the region with a subtree-partitioned MDS pool
 	// ("/w" spread across that many shards) instead of one shared-tree
@@ -95,8 +89,8 @@ type Config struct {
 	// the injector's call counter) and recovers it later. While the
 	// shard is down, foreground reads that reach it fail with ErrClosed
 	// (tolerated, state marked unknown) and commit-side batches to it
-	// degrade to the singleton fallback; after recovery the schedule
-	// must still converge and pass the audit gate. Requires Shards > 1.
+	// park and resubmit; after recovery the schedule must still
+	// converge and pass the audit gate. Requires Shards > 1.
 	KillShard bool
 }
 
@@ -302,39 +296,13 @@ func (f *flakyBackend) ClearTrace() {
 	}
 }
 
-func (f *flakyBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	if f.lose != nil && f.lose.CompareAndSwap(true, false) {
-		return at, nil // lie: committed nothing (LoseOneCommit self-test)
-	}
-	if f.inj.fail(p) {
-		return at, fsapi.ErrNotExist
-	}
-	return f.Backend.CreateWithStat(at, p, st)
-}
-
 // WriteAt is never failed (see flakyBackend), only counted.
 func (f *flakyBackend) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
 	f.inj.tick()
 	return f.Backend.WriteAt(at, p, off, data)
 }
 
-func (f *flakyBackend) SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	if f.inj.fail(p) {
-		return at, fsapi.ErrNotExist
-	}
-	return f.Backend.SetStat(at, p, st)
-}
-
-func (f *flakyBackend) Remove(at vclock.Time, p string) (vclock.Time, error) {
-	if f.inj.fail(p) {
-		return at, fsapi.ErrNotExist
-	}
-	return f.Backend.Remove(at, p)
-}
-
-// ApplyBatch forwards the batched commit path with per-op injection.
-// Without this override the embedded interface value would promote the
-// wrapped client's ApplyBatch and batched ops would silently bypass
+// ApplyBatch forwards the commit path's metadata mutations with per-op
 // injection. Net-absence removes (IfExists) are exempt like WriteAt: the
 // commit module reads their ErrNotExist as success, so an injected
 // failure — meaning the remove did NOT run — would be mistaken for a
@@ -344,6 +312,10 @@ func (f *flakyBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error,
 	fwd := make([]fsapi.BatchOp, 0, len(ops))
 	idx := make([]int, 0, len(ops))
 	for i, op := range ops {
+		creates := op.Kind == fsapi.BatchCreate || op.Kind == fsapi.BatchMkdir
+		if creates && f.lose != nil && f.lose.CompareAndSwap(true, false) {
+			continue // lie: committed nothing (LoseOneCommit self-test)
+		}
 		exempt := op.Kind == fsapi.BatchRemove && op.IfExists
 		if !exempt && f.inj.fail(op.Path) {
 			errs[i] = fsapi.ErrNotExist
@@ -357,7 +329,7 @@ func (f *flakyBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error,
 	}
 	if f.zoneWarm && slices.ContainsFunc(fwd, func(op fsapi.BatchOp) bool { return inKillZone(op.Path) }) {
 		// A kill here provably meets a queued batch: this very batch
-		// hits the dead shard and degrades to the singleton fallback.
+		// hits the dead shard and fails as a whole.
 		f.inj.killBeforeBatch()
 	}
 	ferrs, done, err := f.Backend.ApplyBatch(at, fwd)
@@ -771,7 +743,6 @@ func Run(cfg Config) (Result, error) {
 	var lose atomic.Bool
 	if cfg.LoseOneCommit {
 		lose.Store(true)
-		cfg.CommitBatchSize = 1
 	}
 	bus := rpc.NewBus()
 	model := vclock.Default()
@@ -832,9 +803,7 @@ func Run(cfg Config) (Result, error) {
 		Cred:               appCred,
 		CacheCapacityBytes: cfg.CacheCapacityBytes,
 		CommitRetryLimit:   retryLimit,
-		CommitBatchSize:    cfg.CommitBatchSize,
 		ShardCount:         cfg.Shards,
-		DisableCoalesce:    cfg.DisableCoalesce,
 		// Sample every span: a failing seed's flight dump must contain
 		// the violating op's cross-node timeline, not a 1/64 lottery.
 		TraceSampleN: 1,

@@ -214,8 +214,8 @@ func TestDiscardRuleKeepsNewerIncarnation(t *testing.T) {
 
 	now := vclock.Time(0)
 	discardedBefore := e.region.Stats().Discarded
-	if retry := e.region.applyOp(Op{Kind: OpCreate, Path: "/w/doomed/f", Seq: 1,
-		Stat: fsapi.NewFileStat(appCred, 0o644)}, &now, backend, mc, nil); retry {
+	if failed := e.region.applyWave([]Op{{Kind: OpCreate, Path: "/w/doomed/f", Seq: 1,
+		Stat: fsapi.NewFileStat(appCred, 0o644)}}, &now, backend, mc, nil); len(failed) > 0 {
 		t.Fatal("discarded create must not be resubmitted")
 	}
 	if e.region.Stats().Discarded != discardedBefore+1 {

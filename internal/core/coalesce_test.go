@@ -144,9 +144,9 @@ func TestCoalesceSingletonUntouched(t *testing.T) {
 
 // runCommitWorkload creates files, rewrites each once and removes a
 // quarter of them, then drains, returning the region's commit-path stats.
-func runCommitWorkload(t *testing.T, mutate func(*RegionConfig)) RegionStats {
+func runCommitWorkload(t *testing.T) RegionStats {
 	t.Helper()
-	e := newEnv(t, 2, mutate)
+	e := newEnv(t, 2, nil)
 	c := e.client(t, "node0")
 	at := vclock.Time(0)
 	var err error
@@ -173,34 +173,31 @@ func runCommitWorkload(t *testing.T, mutate func(*RegionConfig)) RegionStats {
 
 // TestCommitPathRoundTripReduction pins the commit path's round-trip
 // economy on one workload. Backend: dequeue batching plus coalescing
-// must spend fewer DFS round trips than the op-at-a-time, uncoalesced
-// loop (CommitBatchSize 1 + DisableCoalesce). Cache: the server-side
-// conditional ops finish every committed op's bookkeeping in at most one
-// cache round trip. (The retired client-side Get+CAS loops spent two;
-// EXPERIMENTS.md keeps that measurement.)
+// must spend fewer DFS round trips than there are dequeued ops — the
+// count an op-at-a-time, uncoalesced loop would spend. Cache: the
+// server-side conditional ops finish every committed op's bookkeeping
+// in at most one cache round trip. (The retired client-side Get+CAS
+// loops spent two; EXPERIMENTS.md keeps that measurement.)
 func TestCommitPathRoundTripReduction(t *testing.T) {
-	serial := runCommitWorkload(t, func(cfg *RegionConfig) {
-		cfg.DisableCoalesce = true
-		cfg.CommitBatchSize = 1
-	})
-	tuned := runCommitWorkload(t, nil)
+	st := runCommitWorkload(t)
 
-	if serial.Committed == 0 || tuned.Committed == 0 {
-		t.Fatalf("workload committed nothing: serial %+v tuned %+v", serial, tuned)
+	if st.Committed == 0 {
+		t.Fatalf("workload committed nothing: %+v", st)
 	}
-	if tuned.Coalesced == 0 {
-		t.Fatalf("tuned run never coalesced: %+v", tuned)
+	if st.Coalesced == 0 {
+		t.Fatalf("run never coalesced: %+v", st)
 	}
-	if tuned.BatchRPCs == 0 || tuned.BatchedOps == 0 {
-		t.Fatalf("tuned run never used apply_batch: %+v", tuned)
+	if st.BatchRPCs == 0 || st.BatchedOps == 0 {
+		t.Fatalf("run never used apply_batch: %+v", st)
 	}
-	t.Logf("backend RPCs: serial %d, tuned %d; tuned cache RPCs %d over %d commits",
-		serial.BackendRPCs, tuned.BackendRPCs, tuned.CacheRPCs, tuned.Committed)
-	if tuned.BackendRPCs >= serial.BackendRPCs {
-		t.Fatalf("batching did not reduce backend RPCs: serial %d, tuned %d", serial.BackendRPCs, tuned.BackendRPCs)
+	dequeued := st.Committed + st.Coalesced + st.Discarded + st.Dropped
+	t.Logf("backend RPCs %d for %d dequeued ops; cache RPCs %d over %d commits",
+		st.BackendRPCs, dequeued, st.CacheRPCs, st.Committed)
+	if st.BackendRPCs >= dequeued {
+		t.Fatalf("batching did not reduce backend RPCs: %d for %d dequeued ops", st.BackendRPCs, dequeued)
 	}
-	if tuned.CacheRPCs > tuned.Committed {
+	if st.CacheRPCs > st.Committed {
 		t.Fatalf("commit bookkeeping spent %d cache RPCs for %d committed ops, want <= 1 each",
-			tuned.CacheRPCs, tuned.Committed)
+			st.CacheRPCs, st.Committed)
 	}
 }

@@ -49,12 +49,16 @@ func (p *pendingSet) add(op Op, why string) {
 // without taking the table lock.
 func (p *pendingSet) blocks(path string) bool { return len(p.ops) > 0 && p.table.blocks(path) }
 
+// commitBatchSize caps how many queued operations a commit process
+// dequeues — and ships to the DFS in one apply_batch wave — at a time.
+const commitBatchSize = 8
+
 // commitLoop is one node's commit process: the subscriber of the node's
 // commit queue. It applies operations to the DFS through the node's own
 // backend client, participates in barrier epochs, and maintains the
 // cache's dirty/removed bookkeeping.
 //
-// Operations are dequeued up to CommitBatchSize at a time (never across
+// Operations are dequeued up to commitBatchSize at a time (never across
 // a barrier marker), same-path runs are coalesced (see coalesceOps), and
 // independent-path ops ship to the DFS in one apply_batch round trip.
 //
@@ -72,7 +76,7 @@ func (r *Region) commitLoop(node string, backend Backend) {
 	ring := r.obsRing(node)
 	var now vclock.Time
 	pending := pendingSet{table: r.inflight[node], region: r, ring: ring}
-	coalesceScratch := make(map[string]int, r.cfg.CommitBatchSize)
+	coalesceScratch := make(map[string]int, commitBatchSize)
 	// batchBuf is the dequeue buffer, reused across PopBatchInto calls:
 	// everything downstream (coalescing, wave construction, parking)
 	// copies the Op values it keeps, so nothing references the buffer by
@@ -94,7 +98,7 @@ func (r *Region) commitLoop(node string, backend Backend) {
 	}
 
 	for {
-		ops, isBarrier, epoch, ok := q.PopBatchInto(batchBuf, r.cfg.CommitBatchSize)
+		ops, isBarrier, epoch, ok := q.PopBatchInto(batchBuf, commitBatchSize)
 		if ops != nil {
 			batchBuf = ops
 		}
@@ -116,11 +120,9 @@ func (r *Region) commitLoop(node string, backend Backend) {
 			continue
 		}
 		r.observeDequeue(ring, ops)
-		if !r.cfg.DisableCoalesce {
-			var merged int64
-			ops, merged = coalesceOps(ops, coalesceScratch, onMerge)
-			r.coalesced.Add(merged)
-		}
+		var merged int64
+		ops, merged = coalesceOps(ops, coalesceScratch, onMerge)
+		r.coalesced.Add(merged)
 		r.applyOps(ops, &now, backend, cache, &pending)
 		// Opportunistic pass: earlier failures often just needed a
 		// sibling queue to commit a parent. Uncounted — only forced
@@ -150,56 +152,80 @@ func (r *Region) applyOps(ops []Op, now *vclock.Time, backend Backend, cache *me
 				wave = append(wave, op)
 			}
 		}
-		r.applyWave(wave, now, backend, cache, pending)
+		for _, op := range r.applyWave(wave, now, backend, cache, pending.ring) {
+			pending.add(op, "resubmittable failure")
+		}
 		ops = rest
 	}
 }
 
-// batchable reports whether op can ship inside an apply_batch RPC.
-// Creations under an active rmdir need the discard rule, and inline
-// setstats are data writes — both stay on the singleton path.
-func (r *Region) batchable(op Op) bool {
-	if r.isRemoving(op.Path) {
-		return false
-	}
-	switch op.Kind {
-	case OpCreate, OpMkdir, OpRemove:
-		return true
-	case OpSetStat:
-		return len(op.Stat.Inline) == 0
-	}
-	return false
-}
-
-// applyWave applies one wave of unique-path ops. Two or more batchable
-// ops go out as a single apply_batch; net-absence removes always take
-// the batch path (even alone) so the DFS sees their IfExists marker.
-func (r *Region) applyWave(wave []Op, now *vclock.Time, backend Backend, cache *memcache.Client, pending *pendingSet) {
-	var batch, single []Op
+// applyWave applies one wave of unique-path ops and returns those that
+// failed in a resubmittable way. Every create, mkdir, remove and
+// metadata setstat ships in one apply_batch, one op or many. Two cases
+// stay outside it: a creation under an active rmdir is discarded
+// without an RPC, and an inline setstat is a data write-back through
+// the file interface. ring may be nil (observability disabled, tests).
+func (r *Region) applyWave(wave []Op, now *vclock.Time, backend Backend, cache *memcache.Client, ring *obs.Ring) []Op {
+	var failed []Op
+	batch := wave[:0] // filtered in place: the wave is the caller's scratch
 	for _, op := range wave {
-		if r.batchable(op) {
+		switch {
+		case (op.Kind == OpCreate || op.Kind == OpMkdir) && r.isRemoving(op.Path):
+			r.discardCreate(op, now, backend, cache, ring)
+		case op.Kind == OpSetStat && len(op.Stat.Inline) > 0:
+			if r.writeInline(op, now, backend, cache, ring) {
+				failed = append(failed, op)
+			}
+		default:
 			batch = append(batch, op)
-		} else {
-			single = append(single, op)
 		}
 	}
-	if len(batch) == 1 && !batch[0].NetAbsent {
-		single = append(single, batch[0])
-		batch = nil
+	if len(batch) == 0 {
+		return failed
 	}
-	if len(batch) > 0 {
-		r.applyBatchRPC(batch, now, backend, cache, pending)
-	}
-	for _, op := range single {
-		if r.applyOp(op, now, backend, cache, pending.ring) {
-			pending.add(op, "resubmittable failure")
-		}
-	}
+	return r.applyBatch(batch, now, backend, cache, ring, failed)
 }
 
-// applyBatchRPC ships a wave's batchable ops in one backend round trip
-// and finishes each per its own result.
-func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cache *memcache.Client, pending *pendingSet) {
+// discardCreate applies the discard rule: creations inside a directory
+// being removed are dropped, and their cache entries cleaned (§III.D.1)
+// — but only this op's incarnation (seq match, CAS-guarded): a newer
+// incarnation created after the rmdir window closed is live
+// primary-copy metadata and must survive.
+func (r *Region) discardCreate(op Op, now *vclock.Time, backend Backend, cache *memcache.Client, ring *obs.Ring) {
+	if untag := r.commitTrace(op, backend, cache); untag != nil {
+		defer untag()
+	}
+	*now = vclock.Max(*now, op.Time)
+	r.opDiscarded(ring, op)
+	r.deleteIf(cache, now, op.Path, memcache.CondSeq, op.Seq)
+}
+
+// writeInline commits an inline setstat: the file interface carries
+// both the bytes and the size update. It returns true if the op must be
+// resubmitted.
+func (r *Region) writeInline(op Op, now *vclock.Time, backend Backend, cache *memcache.Client, ring *obs.Ring) bool {
+	if untag := r.commitTrace(op, backend, cache); untag != nil {
+		defer untag()
+	}
+	r.backendRPCs.Add(1)
+	done, err := backend.WriteAt(vclock.Max(*now, op.Time), op.Path, 0, op.Stat.Inline)
+	*now = done
+	retry := r.finishSetStat(op, err, now, cache, ring)
+	if err == nil {
+		// The bytes just written supersede an fsync spill (see
+		// writebackData). Taken after the dirty flag cleared: an fsync
+		// spills only while the entry is dirty, so only one whose
+		// spill lands after this take can still leave an entry behind.
+		r.spillTake(op.Path)
+	}
+	return retry
+}
+
+// applyBatch ships ops in one Backend.ApplyBatch call, finishes each per
+// its own result, and returns failed with the resubmittable ones
+// appended. A batch-level error leaves every op's disposition unknown:
+// all of them are returned, to be resubmitted on this same path.
+func (r *Region) applyBatch(ops []Op, now *vclock.Time, backend Backend, cache *memcache.Client, ring *obs.Ring, failed []Op) []Op {
 	// The first sampled op's span tags the whole batch round trip — a
 	// batch is one wire-level apply, so its server events belong to one
 	// representative span.
@@ -213,7 +239,6 @@ func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cach
 	}
 	t := *now
 	bops := make([]fsapi.BatchOp, len(ops))
-	inlines := make([][]byte, len(ops))
 	for i, op := range ops {
 		if op.Time > t {
 			t = op.Time
@@ -226,11 +251,11 @@ func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cach
 				bop.Kind = fsapi.BatchMkdir
 			}
 			// The DFS backup copy keeps small-file data on the data
-			// path, not in MDS metadata (same as the singleton path).
-			st := op.Stat
-			inlines[i] = st.Inline
-			st.Inline = nil
-			bop.Stat = st
+			// path, not in MDS metadata: strip the inline bytes and
+			// write them through the file interface after the create
+			// lands.
+			bop.Stat = op.Stat
+			bop.Stat.Inline = nil
 		case OpSetStat:
 			bop.Kind = fsapi.BatchSetStat
 			bop.Stat = op.Stat
@@ -240,41 +265,43 @@ func (r *Region) applyBatchRPC(ops []Op, now *vclock.Time, backend Backend, cach
 		}
 		bops[i] = bop
 	}
-	r.batchRPCs.Add(1)
-	r.batchedOps.Add(int64(len(ops)))
-	r.backendRPCs.Add(1)
-	errs, done, err := backend.ApplyBatch(t, bops)
-	*now = done
+	errs, err := r.callApplyBatch(backend, t, now, bops)
 	if err != nil {
-		// Transport-level failure: disposition unknown, fall back to
-		// singleton application which re-runs each op with full logic.
 		r.batchFallbacks.Add(1)
-		for _, op := range ops {
-			if r.applyOp(op, now, backend, cache, pending.ring) {
-				pending.add(op, "resubmittable failure")
-			}
-		}
-		return
+		return append(failed, ops...)
 	}
 	for i, op := range ops {
 		var retry bool
 		switch op.Kind {
 		case OpCreate, OpMkdir:
-			retry = r.finishCreate(op, inlines[i], errs[i], now, backend, cache, pending.ring)
+			retry = r.finishCreate(op, errs[i], now, backend, cache, ring)
 		case OpSetStat:
-			retry = r.finishSetStat(op, errs[i], now, cache, pending.ring)
+			retry = r.finishSetStat(op, errs[i], now, cache, ring)
 		case OpRemove:
-			retry = r.finishRemoveResult(op, errs[i], now, cache, pending.ring)
+			retry = r.finishRemoveResult(op, errs[i], now, cache, ring)
 		}
 		if retry {
-			pending.add(op, "resubmittable failure")
+			failed = append(failed, op)
 		}
 	}
+	return failed
 }
 
-// retryPendingOnce sweeps the pending set once in arrival order. A
-// still-failing op keeps every later same-path op parked for the rest of
-// the sweep. When counted is true, failures consume the budget.
+// callApplyBatch issues one Backend.ApplyBatch at t — the commit loop's
+// only metadata RPC — and advances now to its completion.
+func (r *Region) callApplyBatch(backend Backend, t vclock.Time, now *vclock.Time, bops []fsapi.BatchOp) ([]error, error) {
+	r.batchRPCs.Add(1)
+	r.batchedOps.Add(int64(len(bops)))
+	r.backendRPCs.Add(1)
+	errs, done, err := backend.ApplyBatch(t, bops)
+	*now = done
+	return errs, err
+}
+
+// retryPendingOnce sweeps the pending set once in arrival order, each op
+// a wave of its own. A still-failing op keeps every later same-path op
+// parked for the rest of the sweep. When counted is true, failures
+// consume the budget.
 func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend Backend, cache *memcache.Client, counted bool) {
 	if len(pending.ops) == 0 {
 		return
@@ -288,7 +315,7 @@ func (r *Region) retryPendingOnce(pending *pendingSet, now *vclock.Time, backend
 		}
 		r.retries.Add(1)
 		r.traceOp(pending.ring, p.op, obs.StageRetry, "")
-		if retry := r.applyOp(p.op, now, backend, cache, pending.ring); retry {
+		if failed := r.applyWave([]Op{p.op}, now, backend, cache, pending.ring); len(failed) > 0 {
 			if counted {
 				p.attempts++
 				if p.attempts >= r.cfg.CommitRetryLimit {
@@ -344,69 +371,13 @@ func (r *Region) drainPending(pending *pendingSet, now *vclock.Time, backend Bac
 	}
 }
 
-// applyOp applies one operation; it returns true if the op failed in a
-// resubmittable way. ring may be nil (observability disabled, tests).
-func (r *Region) applyOp(op Op, now *vclock.Time, backend Backend, cache *memcache.Client, ring *obs.Ring) bool {
-	if untag := r.commitTrace(op, backend, cache); untag != nil {
-		defer untag()
-	}
-	t := vclock.Max(*now, op.Time)
-	switch op.Kind {
-	case OpCreate, OpMkdir:
-		// Discard rule: creations inside a directory being removed are
-		// dropped, and their cache entries cleaned (§III.D.1) — but only
-		// this op's incarnation (seq match, CAS-guarded): a newer
-		// incarnation created after the rmdir window closed is live
-		// primary-copy metadata and must survive.
-		if r.isRemoving(op.Path) {
-			r.opDiscarded(ring, op)
-			r.deleteIf(cache, &t, op.Path, memcache.CondSeq, op.Seq)
-			*now = t
-			return false
-		}
-		// The DFS backup copy keeps small-file data on the data path, not
-		// in MDS metadata: strip the inline bytes and write them through
-		// the normal file interface after the create lands.
-		st := op.Stat
-		inline := st.Inline
-		st.Inline = nil
-		r.backendRPCs.Add(1)
-		done, err := backend.CreateWithStat(t, op.Path, st)
-		*now = done
-		return r.finishCreate(op, inline, err, now, backend, cache, ring)
-
-	case OpRemove:
-		r.backendRPCs.Add(1)
-		done, err := backend.Remove(t, op.Path)
-		*now = done
-		return r.finishRemoveResult(op, err, now, cache, ring)
-
-	case OpSetStat:
-		var done vclock.Time
-		var err error
-		r.backendRPCs.Add(1)
-		if len(op.Stat.Inline) > 0 {
-			// Inline-data backup write: the file interface carries both
-			// the bytes and the size update.
-			done, err = backend.WriteAt(t, op.Path, 0, op.Stat.Inline)
-		} else {
-			done, err = backend.SetStat(t, op.Path, op.Stat)
-		}
-		*now = done
-		return r.finishSetStat(op, err, now, cache, ring)
-	}
-	return false
-}
-
-// finishCreate handles a create/mkdir's backend result (shared by the
-// singleton and batched paths); it returns true if the op must be
-// resubmitted.
-func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time, backend Backend, cache *memcache.Client, ring *obs.Ring) bool {
+// finishCreate handles a create/mkdir's backend result; it returns true
+// if the op must be resubmitted.
+func (r *Region) finishCreate(op Op, err error, now *vclock.Time, backend Backend, cache *memcache.Client, ring *obs.Ring) bool {
 	switch {
 	case err == nil:
 		r.opCommitted(ring, op)
-		r.writebackInline(op.Path, inline, now, backend)
-		r.writebackSpill(op.Path, now, backend)
+		r.writebackData(op.Path, op.Stat.Inline, now, backend)
 		r.clearDirty(op, now, cache)
 		return false
 	case errors.Is(err, fsapi.ErrExist):
@@ -430,7 +401,7 @@ func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time,
 		if v, ok := r.cacheLookup(op.Path, now, cache); ok && !v.removed {
 			if v.seq != op.Seq || !v.dirty || v.large {
 				r.opCommitted(ring, op)
-				r.writebackSpill(op.Path, now, backend)
+				r.writebackData(op.Path, nil, now, backend)
 				r.clearDirty(op, now, cache)
 				return false
 			}
@@ -449,15 +420,13 @@ func (r *Region) finishCreate(op Op, inline []byte, err error, now *vclock.Time,
 					r.dropOp(op, now, cache, ring, dropReasonKindConflict)
 					return false
 				}
-				r.backendRPCs.Add(1)
-				done, aerr := backend.SetStat(*now, op.Path, st)
-				*now = done
-				if aerr != nil {
+				errs, aerr := r.callApplyBatch(backend, *now, now,
+					[]fsapi.BatchOp{{Kind: fsapi.BatchSetStat, Path: op.Path, Stat: st}})
+				if aerr != nil || errs[0] != nil {
 					return true
 				}
 				r.opCommitted(ring, op)
-				r.writebackInline(op.Path, inline, now, backend)
-				r.writebackSpill(op.Path, now, backend)
+				r.writebackData(op.Path, op.Stat.Inline, now, backend)
 				r.clearDirty(op, now, cache)
 				return false
 			}
@@ -626,18 +595,19 @@ func (r *Region) finishRemove(op Op, now *vclock.Time, cache *memcache.Client) {
 	r.deleteIf(cache, now, op.Path, memcache.CondSeqRemoved, op.Seq)
 }
 
-// writebackInline writes a newly created small file's bytes to the DFS.
-func (r *Region) writebackInline(path string, inline []byte, now *vclock.Time, backend Backend) {
+// writebackData writes a committed create's small-file bytes to the
+// DFS (§III.D.2): its own inline bytes when it carries any, else bytes
+// an fsync spilled before the create committed. The spill is consumed
+// either way: the create's inline bytes are at least as new as anything
+// spilled before its dequeue, and bytes written after that ride a
+// queued setstat — writing an older spill over them would regress the
+// file.
+func (r *Region) writebackData(path string, inline []byte, now *vclock.Time, backend Backend) {
+	if data, ok := r.spillTake(path); ok && len(inline) == 0 {
+		inline = data
+	}
 	if len(inline) > 0 {
 		r.writeback(path, inline, now, backend)
-	}
-}
-
-// writebackSpill writes fsync-spilled inline data to the DFS after the
-// file's create committed (§III.D.2).
-func (r *Region) writebackSpill(path string, now *vclock.Time, backend Backend) {
-	if data, ok := r.spillTake(path); ok {
-		r.writeback(path, data, now, backend)
 	}
 }
 
@@ -653,9 +623,17 @@ func (r *Region) writeback(path string, data []byte, now *vclock.Time, backend B
 		if err == nil {
 			return
 		}
+		// The file's create already committed, so a lost write-back is
+		// no dropOp terminal, but it is a drop with a reason.
 		transient := errors.Is(err, fsapi.ErrClosed) || errors.Is(err, fsapi.ErrStale)
-		if !transient || attempt >= r.cfg.CommitRetryLimit {
+		if !transient {
 			r.dropped.Add(1)
+			r.droppedBackend.Add(1)
+			return
+		}
+		if attempt >= r.cfg.CommitRetryLimit {
+			r.dropped.Add(1)
+			r.droppedRetry.Add(1)
 			return
 		}
 		time.Sleep(time.Millisecond)

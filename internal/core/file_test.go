@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -142,6 +143,45 @@ func TestFsyncSpillAndWriteback(t *testing.T) {
 	// Fsync on a missing file errors.
 	if _, err := c.Fsync(at, "/w/ghost"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("fsync missing = %v", err)
+	}
+}
+
+// TestFsyncSpillNeverRegressesNewerWrite: bytes spilled by an fsync
+// must not be written back over a newer write that was coalesced into
+// the file's create, and an inline write-back consumes the spill.
+func TestFsyncSpillNeverRegressesNewerWrite(t *testing.T) {
+	e, open, held := gatedEnv(t, 1, nil)
+	c := e.client(t, "node0")
+	// Hold the commit process so the create and both writes of /w/f
+	// dequeue together and coalesce into one create.
+	at, err := c.Create(0, "/w/first", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitHeld(t, held)
+	if at, err = c.Create(at, "/w/f", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.WriteAt(at, "/w/f", 0, []byte("aaaa")); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.Fsync(at, "/w/f"); err != nil {
+		t.Fatal(err)
+	}
+	newer := []byte("bbbbbbbb")
+	if at, err = c.WriteAt(at, "/w/f", 0, newer); err != nil {
+		t.Fatal(err)
+	}
+	open()
+	if at, err = e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+	direct := e.dfs.NewClient("verify", appCred, 0, 0)
+	if data, _, err := direct.ReadAt(at, "/w/f", 0, 100); err != nil || !bytes.Equal(data, newer) {
+		t.Fatalf("DFS copy = %q, %v; want %q", data, err, newer)
+	}
+	if n := e.region.SpillCount(); n != 0 {
+		t.Fatalf("spill count %d after drain, want 0", n)
 	}
 }
 
@@ -421,23 +461,28 @@ func TestTableIConformance(t *testing.T) {
 }
 
 // stepBackend parks chosen DFS calls so a test can interleave the
-// client's large-file transition with the commit process. A
-// CreateWithStat on createPath waits for createGate before it runs; the
-// first WriteAt on writePath runs and then waits for writeGate before
-// it returns (wrote is closed when it has run).
+// client's large-file transition with the commit process. An
+// ApplyBatch holding createPath signals held and waits for createGate
+// before it runs; the first WriteAt on writePath runs and then waits
+// for writeGate before it returns (wrote is closed when it has run).
 type stepBackend struct {
 	Backend
 	createPath, writePath string
 	createGate, writeGate chan struct{}
+	held                  chan struct{}
 	wrote                 chan struct{}
 	once                  *sync.Once
 }
 
-func (b *stepBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	if p == b.createPath {
+func (b *stepBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
+	if slices.ContainsFunc(ops, func(op fsapi.BatchOp) bool { return op.Path == b.createPath }) {
+		select {
+		case b.held <- struct{}{}:
+		default:
+		}
 		<-b.createGate
 	}
-	return b.Backend.CreateWithStat(at, p, st)
+	return b.Backend.ApplyBatch(at, ops)
 }
 
 func (b *stepBackend) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
@@ -462,11 +507,10 @@ func TestGrowToLargeSurvivesCommitAdopt(t *testing.T) {
 	sb := &stepBackend{
 		createPath: "/w/first", writePath: "/w/big",
 		createGate: make(chan struct{}), writeGate: make(chan struct{}),
-		wrote: make(chan struct{}), once: new(sync.Once),
+		held: make(chan struct{}, 1), wrote: make(chan struct{}), once: new(sync.Once),
 	}
 	e := newEnvDeps(t, 1, func(cfg *RegionConfig) {
 		cfg.SmallFileThreshold = 64
-		cfg.CommitBatchSize = 1
 	}, func(d *Deps) {
 		prev := d.NewBackend
 		d.NewBackend = func(node string) Backend {
@@ -483,6 +527,7 @@ func TestGrowToLargeSurvivesCommitAdopt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitHeld(t, sb.held)
 	if at, err = c.Create(at, "/w/big", 0o644); err != nil {
 		t.Fatal(err)
 	}

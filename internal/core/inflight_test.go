@@ -59,22 +59,24 @@ func promGauge(t *testing.T, o *obs.Obs, name string) string {
 }
 
 // gatedEnv builds an observed region whose commit processes block on
-// their first DFS mutation until open is called. A test that fails
+// their first DFS mutation until open is called; held signals that a
+// commit process is blocked (see gatedBackend). A test that fails
 // before opening the gate still shuts the region down: the cleanup
 // opens it first.
-func gatedEnv(t *testing.T, nodes int, mutate func(*RegionConfig)) (e *env, open func()) {
+func gatedEnv(t *testing.T, nodes int, mutate func(*RegionConfig)) (e *env, open func(), held <-chan struct{}) {
 	gate := make(chan struct{})
+	heldc := make(chan struct{}, 1)
 	e = newEnvDeps(t, nodes, mutate, func(d *Deps) {
 		d.Obs = obs.New()
 		prev := d.NewBackend
 		d.NewBackend = func(node string) Backend {
-			return &gatedBackend{Backend: prev(node), gate: gate}
+			return &gatedBackend{Backend: prev(node), gate: gate, held: heldc}
 		}
 	})
 	var once sync.Once
 	open = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(open)
-	return e, open
+	return e, open, heldc
 }
 
 // TestInflightReleasedExactlyOnce drives an op to each terminal the
@@ -130,23 +132,24 @@ func TestInflightReleasedExactlyOnce(t *testing.T) {
 	})
 
 	t.Run("dropped", func(t *testing.T) {
-		o := obs.New()
-		e := newEnvDeps(t, 1, func(cfg *RegionConfig) {
+		e, open, held := gatedEnv(t, 1, func(cfg *RegionConfig) {
 			cfg.DisableParentCheck = true
-			cfg.DisableCoalesce = true
 			cfg.CommitRetryLimit = 2
-		}, func(d *Deps) { d.Obs = o })
+		})
+		o := e.region.obs
 		c := e.client(t, "node0")
-		// Two same-path ops (kept apart by DisableCoalesce): the orphan
-		// create parks on its missing parent, and the write parks
-		// behind the create.
+		// Two same-path ops, kept apart by pushing the write only once
+		// the create is held in apply: the orphan create parks on its
+		// missing parent, and the write parks behind the create.
 		at, err := c.Create(0, "/w/none/f", 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
+		waitHeld(t, held)
 		if at, err = c.WriteAt(at, "/w/none/f", 0, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
+		open()
 		waitFor(t, "both ops parked", func() bool { return e.region.ParkedOps() == 2 })
 
 		tab := e.region.inflight["node0"]
@@ -183,7 +186,7 @@ func TestInflightReleasedExactlyOnce(t *testing.T) {
 	})
 
 	t.Run("coalesced", func(t *testing.T) {
-		e, open := gatedEnv(t, 1, nil)
+		e, open, _ := gatedEnv(t, 1, nil)
 		c := e.client(t, "node0")
 		at, err := c.Create(0, "/w/first", 0o644)
 		if err != nil {
@@ -223,7 +226,7 @@ func TestInflightReleasedExactlyOnce(t *testing.T) {
 	})
 
 	t.Run("node-failure", func(t *testing.T) {
-		e, open := gatedEnv(t, 1, func(cfg *RegionConfig) { cfg.CommitBatchSize = 1 })
+		e, open, held := gatedEnv(t, 1, nil)
 		c := e.client(t, "node0")
 		var at vclock.Time
 		for i := 0; i < 4; i++ {
@@ -231,8 +234,13 @@ func TestInflightReleasedExactlyOnce(t *testing.T) {
 			if at, err = c.Create(at, fmt.Sprintf("/w/lost%d", i), 0o644); err != nil {
 				t.Fatal(err)
 			}
+			if i == 0 {
+				waitHeld(t, held)
+			}
 		}
-		waitFor(t, "first create in apply", func() bool { return e.region.QueueDepth() == 3 })
+		if d := e.region.QueueDepth(); d != 3 {
+			t.Fatalf("queue depth %d, want 3", d)
+		}
 		if !e.region.PathPending("/w/lost3") {
 			t.Fatal("queued op not pending")
 		}

@@ -74,9 +74,7 @@ func TestSpanLifecycleOrdering(t *testing.T) {
 // coalescing closes with a coalesce event rather than an apply.
 func TestCoalesceTracedAsMerge(t *testing.T) {
 	o := obs.New()
-	e := newEnvDeps(t, 1, func(cfg *RegionConfig) {
-		cfg.CommitBatchSize = 64
-	}, func(d *Deps) { d.Obs = o })
+	e := newEnvDeps(t, 1, nil, func(d *Deps) { d.Obs = o })
 	c := e.client(t, "node0")
 
 	at, err := c.Create(0, "/w/burst", 0o644)
@@ -84,8 +82,9 @@ func TestCoalesceTracedAsMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Back-to-back setstats on one path coalesce inside a dequeue batch
-	// (create+setstat and setstat+setstat rules both fold).
-	for i := 0; i < 8; i++ {
+	// (create+setstat and setstat+setstat rules both fold); the create
+	// and its seven writes fit one 8-op dequeue.
+	for i := 0; i < 7; i++ {
 		if at, err = c.WriteAt(at, "/w/burst", 0, []byte("x")); err != nil {
 			t.Fatal(err)
 		}

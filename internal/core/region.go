@@ -32,10 +32,11 @@ type Backend interface {
 	WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error)
 	ReadAt(at vclock.Time, p string, off int64, n int) ([]byte, vclock.Time, error)
 	// ApplyBatch applies independent-path mutations in as few RPCs as
-	// possible (one per metadata server touched). The error slice has one
-	// entry per op; a non-nil batch-level error means the whole batch's
-	// disposition is unknown and the caller must fall back to singleton
-	// application.
+	// possible (one per metadata server touched); it is the commit
+	// loop's only metadata RPC, for one op or many. The error slice has
+	// one entry per op; a non-nil batch-level error means the whole
+	// batch's disposition is unknown, and the commit loop parks every op
+	// of the batch for resubmission through ApplyBatch again.
 	ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error)
 }
 
@@ -70,13 +71,6 @@ type RegionConfig struct {
 	CacheCapacityBytes int64
 	// CommitRetryLimit caps resubmissions of a failed commit (default 64).
 	CommitRetryLimit int
-	// CommitBatchSize caps how many queued operations a commit process
-	// dequeues — and ships to the DFS in one apply_batch RPC — at a time
-	// (default 8). 1 restores the op-at-a-time commit loop.
-	CommitBatchSize int
-	// DisableCoalesce turns off dequeue-time merging of same-path
-	// operation runs (ablation / debugging switch).
-	DisableCoalesce bool
 	// Model is the latency model.
 	Model vclock.LatencyModel
 
@@ -111,12 +105,6 @@ func (c RegionConfig) withDefaults() RegionConfig {
 	}
 	if c.CommitRetryLimit <= 0 {
 		c.CommitRetryLimit = 64
-	}
-	if c.CommitBatchSize == 0 {
-		c.CommitBatchSize = 8
-	}
-	if c.CommitBatchSize < 1 {
-		c.CommitBatchSize = 1
 	}
 	if c.ShardCount < 1 {
 		c.ShardCount = 1
@@ -155,7 +143,7 @@ type RegionStats struct {
 	BackendRPCs    int64 // commit-path DFS round trips (batch counts as one)
 	BatchRPCs      int64 // apply_batch calls issued
 	BatchedOps     int64 // ops shipped inside apply_batch calls
-	BatchFallbacks int64 // batches degraded to singleton ops (transport failure)
+	BatchFallbacks int64 // batches failed as a whole (transport failure), ops parked
 
 	BarriersScoped int64 // sync barriers that skipped at least one queue
 	BarriersFull   int64 // sync barriers that drained every queue
@@ -500,11 +488,10 @@ func (r *Region) Stats() RegionStats {
 	}
 }
 
-// CacheStats aggregates the region's cache servers concurrently — the
-// same fan-out shape as memcache.Client.StatsAll/FlushAll. Each server's
-// Stats walks its 16 shard locks, so a sequential sweep over a large
-// region serializes on the busiest servers; fanning out bounds the
-// aggregation at the slowest single server.
+// CacheStats aggregates the region's cache servers concurrently. Each
+// server's Stats walks its 16 shard locks, so a sequential sweep over a
+// large region serializes on the busiest servers; fanning out bounds
+// the aggregation at the slowest single server.
 func (r *Region) CacheStats() memcache.Stats {
 	stats := make([]memcache.Stats, len(r.cacheAddrs))
 	var wg sync.WaitGroup

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,22 +15,33 @@ import (
 	"pacon/internal/vclock"
 )
 
-// gatedBackend blocks commit-surface mutations until gate is closed,
-// pinning ops in the commit pipeline so lag/staleness state can be
-// asserted deterministically mid-flight.
+// gatedBackend blocks the commit path's metadata mutations until gate
+// is closed, pinning ops in the commit pipeline so lag/staleness state
+// can be asserted deterministically mid-flight. Each blocked call
+// signals held (buffered, one slot; extra signals are dropped).
 type gatedBackend struct {
 	Backend
 	gate <-chan struct{}
-}
-
-func (g *gatedBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	<-g.gate
-	return g.Backend.CreateWithStat(at, p, st)
+	held chan<- struct{}
 }
 
 func (g *gatedBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
+	select {
+	case g.held <- struct{}{}:
+	default:
+	}
 	<-g.gate
 	return g.Backend.ApplyBatch(at, ops)
+}
+
+// waitHeld waits up to five seconds for a gated backend to hold a call.
+func waitHeld(t *testing.T, held <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the gated backend to hold a commit")
+	}
 }
 
 // TestLagReleasedAfterDrain: every committed op must release its lag
@@ -84,18 +96,19 @@ func TestLagReleasedAfterDrain(t *testing.T) {
 // (they will never reach a commit-loop terminal).
 func TestStalenessCoversInFlightAndParkedOps(t *testing.T) {
 	gate := make(chan struct{})
+	held := make(chan struct{}, 1)
 	o := obs.New()
-	e := newEnvDeps(t, 1, func(cfg *RegionConfig) {
-		cfg.CommitBatchSize = 1
-	}, func(d *Deps) {
+	e := newEnvDeps(t, 1, nil, func(d *Deps) {
 		d.Obs = o
 		prev := d.NewBackend
 		d.NewBackend = func(node string) Backend {
-			return &gatedBackend{Backend: prev(node), gate: gate}
+			return &gatedBackend{Backend: prev(node), gate: gate, held: held}
 		}
 	})
 	c := e.client(t, "node0")
 
+	// The commit process pops the first op and blocks on the gate; the
+	// remaining three, pushed after, stay queued.
 	var at vclock.Time
 	for i := 0; i < 4; i++ {
 		var err error
@@ -103,15 +116,12 @@ func TestStalenessCoversInFlightAndParkedOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Wait for the commit process to pop the first op and block on the
-	// gate; the remaining three stay queued.
-	deadline := time.Now().Add(5 * time.Second)
-	for e.region.QueueDepth() != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d, want 3", e.region.QueueDepth())
+		if i == 0 {
+			waitHeld(t, held)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	if d := e.region.QueueDepth(); d != 3 {
+		t.Fatalf("queue depth %d, want 3", d)
 	}
 
 	if e.region.MaxStaleness() <= 0 {
@@ -151,7 +161,7 @@ func TestStalenessCoversInFlightAndParkedOps(t *testing.T) {
 	close(gate)
 	// Only the in-flight create remains; once it lands the region must
 	// read fully converged again.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for e.region.MaxStaleness() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("MaxStaleness still %d after gate release", e.region.MaxStaleness())
@@ -165,10 +175,6 @@ func TestStalenessCoversInFlightAndParkedOps(t *testing.T) {
 type failBackend struct {
 	Backend
 	err error
-}
-
-func (f *failBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	return at, f.err
 }
 
 func (f *failBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
@@ -200,7 +206,19 @@ func TestDropReasonCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	byReason := e.region.DroppedByReason()
+	requireBackendErrorDrops(t, e.region)
+	var sb strings.Builder
+	o.WriteProm(&sb)
+	if !strings.Contains(sb.String(), "pacon_ops_dropped_backend_error_total") {
+		t.Fatal("exposition missing per-reason drop counter")
+	}
+}
+
+// requireBackendErrorDrops fails unless r counted a backend_error drop
+// and its dropped total equals the sum of the per-reason counters.
+func requireBackendErrorDrops(t *testing.T, r *Region) {
+	t.Helper()
+	byReason := r.DroppedByReason()
 	if byReason[dropReasonBackendError] == 0 {
 		t.Fatalf("backend_error drops not counted: %v", byReason)
 	}
@@ -208,14 +226,61 @@ func TestDropReasonCounters(t *testing.T) {
 	for _, n := range byReason {
 		total += n
 	}
-	if got := e.region.Stats().Dropped; got != total {
+	if got := r.Stats().Dropped; got != total {
 		t.Fatalf("dropped total %d != sum of reasons %d (%v)", got, total, byReason)
 	}
-	var sb strings.Builder
-	o.WriteProm(&sb)
-	if !strings.Contains(sb.String(), "pacon_ops_dropped_backend_error_total") {
-		t.Fatal("exposition missing per-reason drop counter")
+}
+
+// failWriteBackend fails its first WriteAt with a permanent error.
+type failWriteBackend struct {
+	Backend
+	failed atomic.Bool
+}
+
+func (f *failWriteBackend) WriteAt(at vclock.Time, p string, off int64, data []byte) (vclock.Time, error) {
+	if f.failed.CompareAndSwap(false, true) {
+		return at, errors.New("media failure")
 	}
+	return f.Backend.WriteAt(at, p, off, data)
+}
+
+// TestWritebackDropCountsReason: a create carrying inline data commits
+// and then loses its write-back to a permanent WriteAt failure. That
+// drop must land in a per-reason counter like every other drop.
+func TestWritebackDropCountsReason(t *testing.T) {
+	gate := make(chan struct{})
+	held := make(chan struct{}, 1)
+	e := newEnvDeps(t, 1, nil, func(d *Deps) {
+		prev := d.NewBackend
+		d.NewBackend = func(node string) Backend {
+			return &gatedBackend{Backend: &failWriteBackend{Backend: prev(node)}, gate: gate, held: held}
+		}
+	})
+	c := e.client(t, "node0")
+
+	// Hold the commit process on a first create so the create and write
+	// of /w/f dequeue together and coalesce into one create carrying
+	// the inline bytes.
+	at, err := c.Create(0, "/w/first", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitHeld(t, held)
+	if at, err = c.Create(at, "/w/f", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if at, err = c.WriteAt(at, "/w/f", 0, []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	if _, err := e.region.Drain(at); err != nil {
+		t.Fatal(err)
+	}
+
+	if s := e.region.Stats(); s.Dropped != 1 || s.Coalesced != 1 {
+		t.Fatalf("stats %+v, want 1 dropped write-back of 1 coalesced create", s)
+	}
+	requireBackendErrorDrops(t, e.region)
 }
 
 // TestHealthVerdicts: the typed status must fold in the recorded audit

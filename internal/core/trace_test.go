@@ -113,13 +113,6 @@ type failCreateBackend struct {
 	armed atomic.Bool
 }
 
-func (f *failCreateBackend) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	if f.armed.Load() {
-		return at, fsapi.ErrNotExist
-	}
-	return f.Backend.CreateWithStat(at, p, st)
-}
-
 func (f *failCreateBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
 	if f.armed.Load() {
 		errs := make([]error, len(ops))
@@ -128,9 +121,7 @@ func (f *failCreateBackend) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]e
 		}
 		return errs, at, nil
 	}
-	return f.Backend.(interface {
-		ApplyBatch(vclock.Time, []fsapi.BatchOp) ([]error, vclock.Time, error)
-	}).ApplyBatch(at, ops)
+	return f.Backend.ApplyBatch(at, ops)
 }
 
 // SetTrace/ClearTrace forward to the wrapped DFS client so the span tag

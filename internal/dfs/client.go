@@ -3,6 +3,7 @@ package dfs
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"pacon/internal/fsapi"
@@ -234,78 +235,39 @@ func (c *Client) resolveAncestors(at vclock.Time, p string) (vclock.Time, error)
 	return at, rerr
 }
 
-// mutateBody builds the standard mutation request frame in a pooled
-// encoder; the caller must wire.PutEncoder it once the RPC returned.
-func (c *Client) mutateBody(p string, st fsapi.Stat) *wire.Encoder {
-	e := wire.GetEncoder()
-	e.String(p)
-	e.Uint32(c.cfg.Cred.UID)
-	e.Uint32(c.cfg.Cred.GID)
-	fsapi.EncodeStat(e, st)
-	return e
-}
-
-// callMutate issues one mutation RPC with the standard body. Mutating a
-// structural path in sharded mode fans out to every mirror.
-func (c *Client) callMutate(method string, at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	if c.sharded() && c.cfg.Shards.Structural(p) {
-		return c.mutateAllShards(method, at, p, st)
+// mutate applies one mutation as a one-op apply_batch: the same
+// resolution, routing, mirror fan-out and dentry drops as a batch.
+func (c *Client) mutate(at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
+	errs, done, err := c.ApplyBatch(at, []fsapi.BatchOp{op})
+	if err != nil {
+		return done, err
 	}
-	e := c.mutateBody(p, st)
-	done, _, err := c.caller.Call(c.mdsFor(p), method, at, e.Bytes())
-	wire.PutEncoder(e)
-	return done, err
+	return done, errs[0]
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	st := fsapi.NewDirStat(c.cfg.Cred, mode)
-	return c.callMutate("mkdir", at, p, st)
+	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchMkdir, Path: p, Stat: fsapi.NewDirStat(c.cfg.Cred, mode)})
 }
 
 // Create creates an empty regular file.
 func (c *Client) Create(at vclock.Time, p string, mode fsapi.Mode) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	st := fsapi.NewFileStat(c.cfg.Cred, mode)
-	return c.callMutate("create", at, p, st)
+	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchCreate, Path: p, Stat: fsapi.NewFileStat(c.cfg.Cred, mode)})
 }
 
-// CreateWithStat creates a file carrying a prebuilt stat (used by the
-// Pacon commit module to preserve cached metadata exactly).
+// CreateWithStat creates a file or directory carrying a prebuilt stat
+// (used by Pacon to preserve cached metadata exactly).
 func (c *Client) CreateWithStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	method := "create"
+	kind := fsapi.BatchCreate
 	if st.IsDir() {
-		method = "mkdir"
+		kind = fsapi.BatchMkdir
 	}
-	return c.callMutate(method, at, p, st)
+	return c.mutate(at, fsapi.BatchOp{Kind: kind, Path: p, Stat: st})
 }
 
 // SetStat replaces an object's metadata.
 func (c *Client) SetStat(at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	done, err := c.callMutate("setstat", at, p, st)
-	if err == nil {
-		c.cacheDrop(p)
-	}
-	return done, err
+	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchSetStat, Path: p, Stat: st})
 }
 
 // Stat resolves a path's metadata (traversal plus final lookup).
@@ -353,16 +315,7 @@ func (c *Client) StatFresh(at vclock.Time, p string) (fsapi.Stat, vclock.Time, e
 // Remove unlinks a file (metadata; chunks are dropped separately by
 // RemoveData for files that had content).
 func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
-	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
-	done, err := c.callMutate("remove", at, p, fsapi.Stat{})
-	if err == nil {
-		c.cacheDrop(p)
-	}
-	return done, err
+	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchRemove, Path: p})
 }
 
 // Rmdir removes an empty directory. In sharded mode a directory that
@@ -370,12 +323,12 @@ func (c *Client) Remove(at vclock.Time, p string) (vclock.Time, error) {
 // prepare/commit vote so no shard unlinks a mirror the others keep.
 func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 	p = namespace.Clean(p)
-	at, err := c.resolveAncestors(at, p)
-	if err != nil {
-		return at, err
-	}
 	if c.sharded() {
 		if targets := c.shardTargets(p); len(targets) > 1 {
+			at, err := c.resolveAncestors(at, p)
+			if err != nil {
+				return at, err
+			}
 			done, err := c.shardedRmdir(at, p, targets)
 			if err == nil {
 				c.cacheDrop(p)
@@ -383,11 +336,7 @@ func (c *Client) Rmdir(at vclock.Time, p string) (vclock.Time, error) {
 			return done, err
 		}
 	}
-	done, err := c.callMutate("rmdir", at, p, fsapi.Stat{})
-	if err == nil {
-		c.cacheDrop(p)
-	}
-	return done, err
+	return c.mutate(at, fsapi.BatchOp{Kind: fsapi.BatchRmdir, Path: p})
 }
 
 // RmTree removes a directory recursively, returning the removed paths.
@@ -802,21 +751,29 @@ func (c *Client) StatBatch(at vclock.Time, paths []string) ([]fsapi.StatResult, 
 }
 
 // ApplyBatch applies a set of independent-path mutations in as few MDS
-// round trips as possible: one RPC per metadata server touched, instead
-// of one per op. Ancestor resolution still happens per op (the cached
-// dentries make it nearly free for the commit module's long-TTL
-// clients). The returned slice has one entry per op — nil for success —
-// and a non-nil batch error means the whole batch's disposition is
-// unknown (transport failure) and the caller should fall back to
-// singleton application.
+// round trips as possible: one apply_batch RPC per metadata server
+// touched. It is the client's only path for create, mkdir, setstat,
+// remove and rmdir; the singleton methods send one-op batches.
+// Ancestor resolution still happens per op (the cached dentries make it
+// nearly free for the commit module's long-TTL clients). The returned
+// slice has one entry per op — nil for success — and a non-nil batch
+// error means a transport failure left the batch's disposition unknown;
+// the caller resubmits the ops.
 func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vclock.Time, error) {
 	if len(ops) == 0 {
 		return nil, at, nil
 	}
 	errs := make([]error, len(ops))
 	// Resolve ancestors first (serially — each resolve advances the
-	// virtual clock like any client-side traversal would).
-	send := make([]int, 0, len(ops))
+	// virtual clock like any client-side traversal would), then group
+	// the survivors by owning MDS, preserving order within a group. Ops
+	// on structural (mirrored) paths go to every shard instead — rare,
+	// since Pacon mutates workspace-interior paths, not the workspace
+	// skeleton. A deployment has a handful of MDSes, so the groups are
+	// found by a linear scan.
+	var addrs []string
+	var groups [][]int
+	var structural []int
 	for i := range ops {
 		ops[i].Path = namespace.Clean(ops[i].Path)
 		done, err := c.resolveAncestors(at, ops[i].Path)
@@ -825,97 +782,90 @@ func (c *Client) ApplyBatch(at vclock.Time, ops []fsapi.BatchOp) ([]error, vcloc
 			errs[i] = err
 			continue
 		}
-		send = append(send, i)
-	}
-	if len(send) == 0 {
-		return errs, at, nil
-	}
-	// Group the survivors by owning MDS, preserving order within a
-	// group. Ops on structural (mirrored) paths divert to the
-	// all-shards path — rare, since Pacon mutates workspace-interior
-	// paths, not the workspace skeleton.
-	groups := make(map[string][]int)
-	var order []string
-	var structural []int
-	for _, i := range send {
 		if c.sharded() && c.cfg.Shards.Structural(ops[i].Path) {
 			structural = append(structural, i)
 			continue
 		}
 		addr := c.mdsFor(ops[i].Path)
-		if _, ok := groups[addr]; !ok {
-			order = append(order, addr)
+		g := slices.Index(addrs, addr)
+		if g < 0 {
+			g = len(addrs)
+			addrs = append(addrs, addr)
+			groups = append(groups, nil)
 		}
-		groups[addr] = append(groups[addr], i)
+		groups[g] = append(groups[g], i)
 	}
 	latest := at
 	for _, i := range structural {
-		done, err := c.applyOpAllShards(at, ops[i])
-		latest = vclock.Max(latest, done)
-		errs[i] = err
+		latest = vclock.Max(latest, c.applyAllShards(at, ops, i, errs))
 	}
 	// One RPC per MDS, all issued at the same virtual instant; the batch
 	// completes when the slowest group does. Multiple groups fan out
 	// concurrently — each fills a disjoint slice of errs.
-	applyGroup := func(addr string, idxs []int) (vclock.Time, error) {
-		e := wire.GetEncoder()
-		e.Uint32(c.cfg.Cred.UID)
-		e.Uint32(c.cfg.Cred.GID)
-		e.Uvarint(uint64(len(idxs)))
-		for _, i := range idxs {
-			op := ops[i]
-			e.Byte(byte(op.Kind))
-			e.Bool(op.IfExists)
-			e.String(op.Path)
-			fsapi.EncodeStat(e, op.Stat)
-		}
-		done, resp, err := c.caller.Call(addr, "apply_batch", at, e.Bytes())
-		wire.PutEncoder(e)
-		if err != nil {
-			return done, err
-		}
-		d := wire.NewDecoder(resp)
-		n := d.Uvarint()
-		if n != uint64(len(idxs)) {
-			return done, fmt.Errorf("dfs: apply_batch returned %d results for %d ops", n, len(idxs))
-		}
-		for _, i := range idxs {
-			code := d.Byte()
-			detail := d.String()
-			errs[i] = fsapi.ErrOf(code, detail)
-			if errs[i] == nil {
-				switch ops[i].Kind {
-				case fsapi.BatchSetStat, fsapi.BatchRemove:
-					c.cacheDrop(ops[i].Path)
-				}
-			}
-		}
-		return done, d.Finish()
-	}
-	if len(order) == 1 {
-		done, err := applyGroup(order[0], groups[order[0]])
+	if len(addrs) == 1 {
+		done, err := c.applyGroup(at, addrs[0], ops, groups[0], errs)
 		if err != nil {
 			return nil, done, err
 		}
 		latest = vclock.Max(latest, done)
-	} else if len(order) > 1 {
-		dones := make([]vclock.Time, len(order))
-		gerrs := make([]error, len(order))
+	} else if len(addrs) > 1 {
+		dones := make([]vclock.Time, len(addrs))
+		gerrs := make([]error, len(addrs))
 		var wg sync.WaitGroup
-		for gi, addr := range order {
+		for g, addr := range addrs {
 			wg.Add(1)
-			go func(gi int, addr string) {
+			go func(g int, addr string) {
 				defer wg.Done()
-				dones[gi], gerrs[gi] = applyGroup(addr, groups[addr])
-			}(gi, addr)
+				dones[g], gerrs[g] = c.applyGroup(at, addr, ops, groups[g], errs)
+			}(g, addr)
 		}
 		wg.Wait()
-		for gi := range order {
-			latest = vclock.Max(latest, dones[gi])
-			if gerrs[gi] != nil {
-				return nil, latest, gerrs[gi]
+		for g := range addrs {
+			latest = vclock.Max(latest, dones[g])
+			if gerrs[g] != nil {
+				return nil, latest, gerrs[g]
 			}
 		}
 	}
 	return errs, latest, nil
+}
+
+// applyGroup sends ops[idxs] to one MDS as a single apply_batch RPC and
+// stores each op's result in errs. A successful setstat, remove or
+// rmdir drops the path's dentry. A non-nil error is a transport failure
+// that leaves the whole group's disposition unknown.
+func (c *Client) applyGroup(at vclock.Time, addr string, ops []fsapi.BatchOp, idxs []int, errs []error) (vclock.Time, error) {
+	e := wire.GetEncoder()
+	e.Uint32(c.cfg.Cred.UID)
+	e.Uint32(c.cfg.Cred.GID)
+	e.Uvarint(uint64(len(idxs)))
+	for _, i := range idxs {
+		op := ops[i]
+		e.Byte(byte(op.Kind))
+		e.Bool(op.IfExists)
+		e.String(op.Path)
+		fsapi.EncodeStat(e, op.Stat)
+	}
+	done, resp, err := c.caller.Call(addr, "apply_batch", at, e.Bytes())
+	wire.PutEncoder(e)
+	if err != nil {
+		return done, err
+	}
+	d := wire.NewDecoder(resp)
+	n := d.Uvarint()
+	if n != uint64(len(idxs)) {
+		return done, fmt.Errorf("dfs: apply_batch returned %d results for %d ops", n, len(idxs))
+	}
+	for _, i := range idxs {
+		code := d.Byte()
+		detail := d.String()
+		errs[i] = fsapi.ErrOf(code, detail)
+		if errs[i] == nil {
+			switch ops[i].Kind {
+			case fsapi.BatchSetStat, fsapi.BatchRemove, fsapi.BatchRmdir:
+				c.cacheDrop(ops[i].Path)
+			}
+		}
+	}
+	return done, d.Finish()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -497,36 +498,140 @@ func TestApplyBatchMixedOps(t *testing.T) {
 	}
 }
 
+// TestApplyBatchPerOpErrors pins the error semantics and MDS write
+// accounting of every mutation on a 1-shard and a 4-shard cluster: the
+// singleton methods (each a one-op apply_batch, mirrored to every shard
+// for a structural path) and a mixed batch whose ops fail independently.
 func TestApplyBatchPerOpErrors(t *testing.T) {
-	c := testCluster(t)
-	cl := appClient(t, c)
-	if _, err := cl.Create(0, "/w/dup", 0o644); err != nil {
-		t.Fatal(err)
+	type fixture struct {
+		c  *Cluster
+		cl *Client
 	}
-	ops := []fsapi.BatchOp{
-		{Kind: fsapi.BatchCreate, Path: "/w/dup", Stat: fsapi.NewFileStat(appCred, 0o644)},
-		{Kind: fsapi.BatchRemove, Path: "/w/ghost"},
-		{Kind: fsapi.BatchRemove, Path: "/w/ghost2", IfExists: true},
-		{Kind: fsapi.BatchCreate, Path: "/w/ok", Stat: fsapi.NewFileStat(appCred, 0o644)},
+	fileStat := fsapi.NewFileStat(appCred, 0o644)
+	cases := []struct {
+		name string
+		call func(f fixture) (vclock.Time, error)
+		want error // nil: success
+		// writes is the MDS write count the call adds; structural ones
+		// are charged once per shard.
+		writes     int64
+		structural bool
+	}{
+		{"create existing", func(f fixture) (vclock.Time, error) { return f.cl.Create(0, "/w/f", 0o644) }, fsapi.ErrExist, 1, false},
+		{"create missing parent", func(f fixture) (vclock.Time, error) { return f.cl.Create(0, "/w/ghost/x", 0o644) }, fsapi.ErrNotExist, 0, false},
+		{"create under file", func(f fixture) (vclock.Time, error) { return f.cl.Create(0, "/w/f/x", 0o644) }, fsapi.ErrNotDir, 0, false},
+		{"create unwritable parent", func(f fixture) (vclock.Time, error) { return f.cl.Create(0, "/w/ro/x", 0o644) }, fsapi.ErrPermission, 1, false},
+		{"create under intent", func(f fixture) (vclock.Time, error) { return f.cl.Create(0, "/w/d/x", 0o644) }, fsapi.ErrStale, 1, false},
+		{"create structural", func(f fixture) (vclock.Time, error) { return f.cl.Create(0, "/w", 0o644) }, fsapi.ErrExist, 1, true},
+		{"mkdir", func(f fixture) (vclock.Time, error) { return f.cl.Mkdir(0, "/w/new", 0o755) }, nil, 1, false},
+		{"mkdir existing", func(f fixture) (vclock.Time, error) { return f.cl.Mkdir(0, "/w/d", 0o755) }, fsapi.ErrExist, 1, false},
+		{"mkdir unwritable parent", func(f fixture) (vclock.Time, error) { return f.cl.Mkdir(0, "/w/ro/y", 0o755) }, fsapi.ErrPermission, 1, false},
+		{"mkdir under intent", func(f fixture) (vclock.Time, error) { return f.cl.Mkdir(0, "/w/d/y", 0o755) }, fsapi.ErrStale, 1, false},
+		{"createwithstat dir", func(f fixture) (vclock.Time, error) {
+			return f.cl.CreateWithStat(0, "/w/cdir", fsapi.NewDirStat(appCred, 0o755))
+		}, nil, 1, false},
+		{"createwithstat missing parent", func(f fixture) (vclock.Time, error) {
+			return f.cl.CreateWithStat(0, "/w/ghost/x", fileStat)
+		}, fsapi.ErrNotExist, 0, false},
+		{"setstat", func(f fixture) (vclock.Time, error) { return f.cl.SetStat(0, "/w/f", fileStat) }, nil, 1, false},
+		{"setstat missing", func(f fixture) (vclock.Time, error) { return f.cl.SetStat(0, "/w/ghost", fileStat) }, fsapi.ErrNotExist, 1, false},
+		{"setstat under intent", func(f fixture) (vclock.Time, error) { return f.cl.SetStat(0, "/w/d/f", fileStat) }, fsapi.ErrStale, 1, false},
+		{"setstat structural", func(f fixture) (vclock.Time, error) {
+			return f.cl.SetStat(0, "/w", fsapi.NewDirStat(rootCred, 0o777))
+		}, nil, 1, true},
+		{"remove", func(f fixture) (vclock.Time, error) { return f.cl.Remove(0, "/w/f") }, nil, 1, false},
+		{"remove missing", func(f fixture) (vclock.Time, error) { return f.cl.Remove(0, "/w/ghost") }, fsapi.ErrNotExist, 1, false},
+		{"remove dir", func(f fixture) (vclock.Time, error) { return f.cl.Remove(0, "/w/d") }, fsapi.ErrIsDir, 1, false},
+		{"remove unwritable parent", func(f fixture) (vclock.Time, error) { return f.cl.Remove(0, "/w/ro/f") }, fsapi.ErrPermission, 1, false},
+		{"remove under intent", func(f fixture) (vclock.Time, error) { return f.cl.Remove(0, "/w/d/f") }, fsapi.ErrStale, 1, false},
+		{"rmdir", func(f fixture) (vclock.Time, error) { return f.cl.Rmdir(0, "/w/empty") }, nil, 1, false},
+		{"rmdir not empty", func(f fixture) (vclock.Time, error) { return f.cl.Rmdir(0, "/w/d") }, fsapi.ErrNotEmpty, 1, false},
+		{"rmdir file", func(f fixture) (vclock.Time, error) { return f.cl.Rmdir(0, "/w/f") }, fsapi.ErrNotDir, 1, false},
+		{"rmdir missing parent", func(f fixture) (vclock.Time, error) { return f.cl.Rmdir(0, "/w/ghost/x") }, fsapi.ErrNotExist, 0, false},
+		{"rmdir unwritable parent", func(f fixture) (vclock.Time, error) { return f.cl.Rmdir(0, "/w/ro/sub") }, fsapi.ErrPermission, 1, false},
+		{"rmdir under intent", func(f fixture) (vclock.Time, error) { return f.cl.Rmdir(0, "/w/d/sub") }, fsapi.ErrStale, 1, false},
 	}
-	errs, _, err := cl.ApplyBatch(0, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(errs[0], fsapi.ErrExist) {
-		t.Fatalf("dup create = %v, want ErrExist", errs[0])
-	}
-	if !errors.Is(errs[1], fsapi.ErrNotExist) {
-		t.Fatalf("ghost remove = %v, want ErrNotExist", errs[1])
-	}
-	if errs[2] != nil {
-		t.Fatalf("IfExists remove of absent path = %v, want nil", errs[2])
-	}
-	if errs[3] != nil {
-		t.Fatalf("independent create = %v, want nil (batch survives sibling failures)", errs[3])
-	}
-	if _, _, err := cl.Stat(0, "/w/ok"); err != nil {
-		t.Fatalf("ok not created: %v", err)
+	for _, shards := range []int{1, 4} {
+		// setup builds /w/{f, empty/, d/{f, sub/}, ro/{f, sub/}} with ro
+		// made unwritable; intent puts a rename intent on /w/d.
+		setup := func(t *testing.T, intent bool) fixture {
+			c, cl := shardedCluster(t, shards)
+			for _, p := range []string{"/w/empty", "/w/d", "/w/d/sub", "/w/ro", "/w/ro/sub"} {
+				if _, err := cl.Mkdir(0, p, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range []string{"/w/f", "/w/d/f", "/w/ro/f"} {
+				if _, err := cl.Create(0, p, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := cl.SetStat(0, "/w/ro", fsapi.NewDirStat(appCred, 0o555)); err != nil {
+				t.Fatal(err)
+			}
+			if intent {
+				if err := c.MDSes[c.Shards.Owner("/w/d")].putIntent("rename", "/w/d", 900); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return fixture{c, cl}
+		}
+		writes := func(c *Cluster) (n int64) {
+			for _, m := range c.MDSes {
+				n += m.Stats().Writes
+			}
+			return n
+		}
+		for _, tc := range cases {
+			tc := tc
+			t.Run(fmt.Sprintf("shards%d/%s", shards, tc.name), func(t *testing.T) {
+				f := setup(t, strings.HasSuffix(tc.name, "under intent"))
+				before := writes(f.c)
+				_, err := tc.call(f)
+				if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				want := tc.writes
+				if tc.structural {
+					want *= int64(shards)
+				}
+				if got := writes(f.c) - before; got != want {
+					t.Fatalf("MDS writes = %d, want %d", got, want)
+				}
+			})
+		}
+		t.Run(fmt.Sprintf("shards%d/mixed batch", shards), func(t *testing.T) {
+			f := setup(t, false)
+			ops := []fsapi.BatchOp{
+				{Kind: fsapi.BatchCreate, Path: "/w/f", Stat: fileStat},
+				{Kind: fsapi.BatchRemove, Path: "/w/ghost"},
+				{Kind: fsapi.BatchRemove, Path: "/w/ghost2", IfExists: true},
+				{Kind: fsapi.BatchCreate, Path: "/w/ok", Stat: fileStat},
+				{Kind: fsapi.BatchRmdir, Path: "/w/d"},
+			}
+			errs, _, err := f.cl.ApplyBatch(0, ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(errs[0], fsapi.ErrExist) {
+				t.Fatalf("dup create = %v, want ErrExist", errs[0])
+			}
+			if !errors.Is(errs[1], fsapi.ErrNotExist) {
+				t.Fatalf("ghost remove = %v, want ErrNotExist", errs[1])
+			}
+			if errs[2] != nil {
+				t.Fatalf("IfExists remove of absent path = %v, want nil", errs[2])
+			}
+			if errs[3] != nil {
+				t.Fatalf("independent create = %v, want nil (batch survives sibling failures)", errs[3])
+			}
+			if !errors.Is(errs[4], fsapi.ErrNotEmpty) {
+				t.Fatalf("rmdir of non-empty dir = %v, want ErrNotEmpty", errs[4])
+			}
+			if _, _, err := f.cl.Stat(0, "/w/ok"); err != nil {
+				t.Fatalf("ok not created: %v", err)
+			}
+		})
 	}
 }
 

@@ -44,11 +44,6 @@ type MDS struct {
 	mutMu sync.RWMutex
 }
 
-// NewMDS creates a metadata server whose root is owned by cred.
-func NewMDS(name string, model vclock.LatencyModel, cred fsapi.Cred) *MDS {
-	return NewMDSWithTree(name, model, namespace.NewTree(cred))
-}
-
 // NewMDSWithTree creates a metadata server over an existing namespace —
 // the multi-MDS deployment (paper §II.B / §V: BeeGFS, Lustre and CephFS
 // scale the metadata service cluster): servers share the namespace state
@@ -107,8 +102,8 @@ func (m *MDS) checkParentWritable(op, p string, cred fsapi.Cred) error {
 	return nil
 }
 
-// applyOne applies a single batched mutation, mirroring the semantics of
-// the corresponding singleton handler exactly.
+// applyOne applies one create, mkdir, setstat, remove or rmdir — the
+// only code on the server that performs those mutations.
 func (m *MDS) applyOne(op fsapi.BatchOp, cred fsapi.Cred) error {
 	m.mutMu.RLock()
 	defer m.mutMu.RUnlock()
@@ -117,6 +112,8 @@ func (m *MDS) applyOne(op fsapi.BatchOp, cred fsapi.Cred) error {
 	}
 	switch op.Kind {
 	case fsapi.BatchCreate:
+		// Existence first (POSIX: mkdir/creat of an existing name is
+		// EEXIST even in an unwritable parent).
 		if m.tree.Exists(op.Path) {
 			return fsapi.WrapPath("create", op.Path, fsapi.ErrExist)
 		}
@@ -145,6 +142,11 @@ func (m *MDS) applyOne(op fsapi.BatchOp, cred fsapi.Cred) error {
 			return nil
 		}
 		return err
+	case fsapi.BatchRmdir:
+		if err := m.checkParentWritable("rmdir", op.Path, cred); err != nil {
+			return err
+		}
+		return m.tree.Rmdir(op.Path)
 	default:
 		return fsapi.WrapPath("apply_batch", op.Path, fmt.Errorf("unknown batch op kind %d", op.Kind))
 	}
@@ -205,67 +207,11 @@ func (m *MDS) Service() *rpc.Service {
 		return done, e.Bytes(), nil
 	})
 
-	// mutation ops: create, mkdir, setstat, remove, rmdir.
-	mutate := func(op string, fn func(p string, cred fsapi.Cred, st fsapi.Stat) error) rpc.Handler {
-		return func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-			d := wire.NewDecoder(body)
-			p := d.String()
-			cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}
-			st := fsapi.DecodeStat(d)
-			if err := d.Finish(); err != nil {
-				return at, nil, err
-			}
-			m.writes.Add(1)
-			done := m.res.Acquire(at, m.model.MDSWriteCost)
-			m.mutMu.RLock()
-			defer m.mutMu.RUnlock()
-			if err := m.intentBlocked(op, p); err != nil {
-				return done, nil, err
-			}
-			return done, nil, fn(p, cred, st)
-		}
-	}
-	svc.Handle("create", mutate("create", func(p string, cred fsapi.Cred, st fsapi.Stat) error {
-		// Existence first (POSIX: mkdir/creat of an existing name is
-		// EEXIST even in an unwritable parent).
-		if m.tree.Exists(p) {
-			return fsapi.WrapPath("create", p, fsapi.ErrExist)
-		}
-		if err := m.checkParentWritable("create", p, cred); err != nil {
-			return err
-		}
-		return m.tree.Create(p, st)
-	}))
-	svc.Handle("mkdir", mutate("mkdir", func(p string, cred fsapi.Cred, st fsapi.Stat) error {
-		if m.tree.Exists(p) {
-			return fsapi.WrapPath("mkdir", p, fsapi.ErrExist)
-		}
-		if err := m.checkParentWritable("mkdir", p, cred); err != nil {
-			return err
-		}
-		return m.tree.Mkdir(p, st)
-	}))
-	svc.Handle("setstat", mutate("setstat", func(p string, cred fsapi.Cred, st fsapi.Stat) error {
-		return m.tree.SetStat(p, st)
-	}))
-	svc.Handle("remove", mutate("remove", func(p string, cred fsapi.Cred, _ fsapi.Stat) error {
-		if err := m.checkParentWritable("remove", p, cred); err != nil {
-			return err
-		}
-		return m.tree.Remove(p)
-	}))
-	svc.Handle("rmdir", mutate("rmdir", func(p string, cred fsapi.Cred, _ fsapi.Stat) error {
-		if err := m.checkParentWritable("rmdir", p, cred); err != nil {
-			return err
-		}
-		return m.tree.Rmdir(p)
-	}))
-
-	// apply_batch: a batch of independent-path mutations in one round
-	// trip — the batched commit path of Pacon's commit module. Each op is
-	// applied independently and reports its own result code; the batch
-	// succeeds at the RPC level even when individual ops fail, so one
-	// ErrExist does not force the whole batch through the retry path.
+	// apply_batch: one or more independent-path mutations in one round
+	// trip — the server's only create/mkdir/setstat/remove/rmdir
+	// endpoint. Each op is applied independently and reports its own
+	// result code; the batch succeeds at the RPC level even when
+	// individual ops fail, so one ErrExist does not fail its neighbours.
 	svc.Handle("apply_batch", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		d := wire.NewDecoder(body)
 		cred := fsapi.Cred{UID: d.Uint32(), GID: d.Uint32()}

@@ -50,56 +50,27 @@ func (c *Client) shardTargets(p string) []string {
 	return out
 }
 
-// mutateAllShards applies one mutation to every shard's mirror of a
-// structural path. All calls are issued at the same virtual instant; the
-// mutation completes when the slowest mirror does. Every mirror is
-// attempted even after an error, keeping the mirrors lockstep; the
-// first error is reported.
-func (c *Client) mutateAllShards(method string, at vclock.Time, p string, st fsapi.Stat) (vclock.Time, error) {
+// applyAllShards applies ops[i], a mutation of a structural path, to
+// every shard's mirror as a one-op apply_batch. All calls are issued at
+// the same virtual instant; the mutation completes when the slowest
+// mirror does. Every mirror is attempted even after an error, keeping
+// the mirrors lockstep; the first error is stored in errs[i].
+func (c *Client) applyAllShards(at vclock.Time, ops []fsapi.BatchOp, i int, errs []error) vclock.Time {
 	latest := at
 	var first error
+	one := []int{i}
 	for _, addr := range c.cfg.Shards.Addrs() {
-		e := c.mutateBody(p, st)
-		done, _, err := c.caller.Call(addr, method, at, e.Bytes())
-		wire.PutEncoder(e)
-		latest = vclock.Max(latest, done)
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return latest, first
-}
-
-// applyOpAllShards mirrors one batched mutation of a structural path to
-// every shard via a one-op apply_batch (preserving IfExists semantics).
-func (c *Client) applyOpAllShards(at vclock.Time, op fsapi.BatchOp) (vclock.Time, error) {
-	latest := at
-	var first error
-	for _, addr := range c.cfg.Shards.Addrs() {
-		e := wire.GetEncoder()
-		e.Uint32(c.cfg.Cred.UID)
-		e.Uint32(c.cfg.Cred.GID)
-		e.Uvarint(1)
-		e.Byte(byte(op.Kind))
-		e.Bool(op.IfExists)
-		e.String(op.Path)
-		fsapi.EncodeStat(e, op.Stat)
-		done, resp, err := c.caller.Call(addr, "apply_batch", at, e.Bytes())
-		wire.PutEncoder(e)
+		done, err := c.applyGroup(at, addr, ops, one, errs)
 		latest = vclock.Max(latest, done)
 		if err == nil {
-			d := wire.NewDecoder(resp)
-			if d.Uvarint() == 1 {
-				code := d.Byte()
-				detail := d.String()
-				err = fsapi.ErrOf(code, detail)
-			}
+			err = errs[i]
 		}
 		if err != nil && first == nil {
 			first = err
 		}
 	}
-	return latest, first
+	errs[i] = first
+	return latest
 }
 
 // shardedRename implements Rename over the shard pool. Same-shard moves

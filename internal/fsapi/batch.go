@@ -1,8 +1,8 @@
 package fsapi
 
-// BatchKind names a mutation inside a batched commit (one element of an
-// apply_batch RPC). Only the four queue-carried mutations batch; rmtree
-// and rename stay singleton dependent operations.
+// BatchKind names one mutation of an apply_batch RPC, the DFS's single
+// path for creating, updating and unlinking one object. rmtree and
+// rename have their own RPCs.
 type BatchKind uint8
 
 const (
@@ -10,6 +10,7 @@ const (
 	BatchMkdir
 	BatchSetStat
 	BatchRemove
+	BatchRmdir
 )
 
 // StatResult is one per-path outcome of a batched stat (the read-path
@@ -20,14 +21,14 @@ type StatResult struct {
 	Err  error
 }
 
-// BatchOp is one mutation of a batched DFS commit. Paths within a batch
+// BatchOp is one mutation of an apply_batch RPC. Paths within a batch
 // are independent (the commit module ships at most one op per path per
 // batch), so the server may apply them in any order.
 type BatchOp struct {
 	Kind BatchKind
 	Path string
 	// Stat carries the full metadata for create/mkdir/setstat; unused for
-	// remove.
+	// remove and rmdir.
 	Stat Stat
 	// IfExists marks a remove whose target may legitimately be absent:
 	// the commit module's coalescer folds a queued create+remove pair

@@ -364,46 +364,3 @@ func (c *Client) FlushAll(at vclock.Time) (vclock.Time, error) {
 		return done, err
 	})
 }
-
-// StatsAll aggregates stats across every server in the ring. The
-// per-member requests run concurrently (same virtual start, vclock.Max
-// merge) like FlushAll.
-func (c *Client) StatsAll(at vclock.Time) (Stats, vclock.Time, error) {
-	members := c.ring.Members()
-	parts := make([]Stats, len(members))
-	idx := make(map[string]int, len(members))
-	for i, addr := range members {
-		idx[addr] = i
-	}
-	latest, err := c.fanOut(at, func(addr string) (vclock.Time, error) {
-		done, resp, err := c.caller.Call(addr, "stats", at, nil)
-		if err != nil {
-			return done, err
-		}
-		d := wire.NewDecoder(resp)
-		st := Stats{
-			Items:     d.Int64(),
-			UsedBytes: d.Int64(),
-			Hits:      d.Int64(),
-			Misses:    d.Int64(),
-			Evictions: d.Int64(),
-		}
-		if derr := d.Finish(); derr != nil {
-			return done, derr
-		}
-		parts[idx[addr]] = st
-		return done, nil
-	})
-	if err != nil {
-		return Stats{}, latest, err
-	}
-	var total Stats
-	for _, st := range parts {
-		total.Items += st.Items
-		total.UsedBytes += st.UsedBytes
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Evictions += st.Evictions
-	}
-	return total, latest, nil
-}

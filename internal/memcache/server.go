@@ -799,15 +799,5 @@ func (s *Server) Service() *rpc.Service {
 	svc.Handle("flush_all", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
 		return s.FlushAll(at), nil, nil
 	})
-	svc.Handle("stats", func(at vclock.Time, body []byte) (vclock.Time, []byte, error) {
-		st := s.Stats()
-		e := wire.NewEncoder(64)
-		e.Int64(st.Items)
-		e.Int64(st.UsedBytes)
-		e.Int64(st.Hits)
-		e.Int64(st.Misses)
-		e.Int64(st.Evictions)
-		return s.acquire(at), e.Bytes(), nil
-	})
 	return svc
 }

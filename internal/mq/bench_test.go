@@ -4,10 +4,12 @@ import "testing"
 
 func BenchmarkQueuePushPop(b *testing.B) {
 	q := NewQueue[int]()
+	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Push(i)
-		if _, _, _, ok := q.Pop(); !ok {
+		var ok bool
+		if buf, _, _, ok = q.PopBatchInto(buf, 1); !ok {
 			b.Fatal("pop failed")
 		}
 	}
@@ -17,8 +19,10 @@ func BenchmarkQueueContendedPublishers(b *testing.B) {
 	q := NewQueue[int]()
 	done := make(chan struct{})
 	go func() {
+		var buf []int
 		for {
-			if _, _, _, ok := q.Pop(); !ok {
+			var ok bool
+			if buf, _, _, ok = q.PopBatchInto(buf, 1); !ok {
 				close(done)
 				return
 			}

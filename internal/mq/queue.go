@@ -188,34 +188,18 @@ func (q *Queue[T]) takeHeadLocked() queueItem[T] {
 	return it
 }
 
-// Pop blocks for the next message. ok=false means the queue was closed
-// and fully drained. barrier=true marks a barrier message whose epoch is
-// returned; v is the zero value then.
-func (q *Queue[T]) Pop() (v T, barrier bool, epoch uint64, ok bool) {
-	q.popMu.Lock()
-	defer q.popMu.Unlock()
-	if !q.ensureHead() {
-		return v, false, 0, false
-	}
-	it := q.takeHeadLocked()
-	return it.v, it.barrier, it.epoch, true
-}
-
-// PopBatch blocks like Pop, then drains up to max consecutive ordinary
-// messages in one critical section. A barrier at the head is returned
-// alone (batch is nil, barrier=true); otherwise the batch stops before
-// the first barrier so every returned message belongs to the same
-// barrier epoch — the window inside which the commit process may
-// coalesce same-path operations. ok=false means closed and drained.
-func (q *Queue[T]) PopBatch(max int) (batch []T, barrier bool, epoch uint64, ok bool) {
-	return q.PopBatchInto(nil, max)
-}
-
-// PopBatchInto is PopBatch writing into buf's backing array (buf may be
-// nil). The subscriber owns the returned batch only until its next
-// PopBatchInto call with the same buffer — the commit loop's dequeue
-// path, which copies ops onward before re-entering, so the batch buffer
-// is allocated once for the loop's lifetime.
+// PopBatchInto blocks for the next message, then drains up to max
+// consecutive ordinary messages in one critical section, writing them
+// into buf's backing array (buf may be nil). A barrier at the head is
+// returned alone (batch is nil, barrier=true, with its epoch);
+// otherwise the batch stops before the first barrier so every returned
+// message belongs to the same barrier epoch — the window inside which
+// the commit process may coalesce same-path operations. ok=false means
+// the queue was closed and fully drained. The subscriber owns the
+// returned batch only until its next PopBatchInto call with the same
+// buffer — the commit loop's dequeue path, which copies ops onward
+// before re-entering, so the batch buffer is allocated once for the
+// loop's lifetime.
 func (q *Queue[T]) PopBatchInto(buf []T, max int) (batch []T, barrier bool, epoch uint64, ok bool) {
 	if max < 1 {
 		max = 1
@@ -247,8 +231,9 @@ func (q *Queue[T]) PopBatchInto(buf []T, max int) (batch []T, barrier bool, epoc
 	return batch, false, 0, true
 }
 
-// TryPop is Pop without blocking; ok=false means empty right now (or
-// closed and drained).
+// TryPop takes the next message without blocking: v, or the zero value
+// with barrier=true and the barrier's epoch. ok=false means empty right
+// now (or closed and drained).
 func (q *Queue[T]) TryPop() (v T, barrier bool, epoch uint64, ok bool) {
 	q.popMu.Lock()
 	defer q.popMu.Unlock()

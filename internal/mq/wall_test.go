@@ -41,19 +41,19 @@ func TestOldestWallTracksHead(t *testing.T) {
 		t.Fatalf("head wall %d outside push window [%d, %d] (ok=%v)", w1, before, after, ok)
 	}
 
-	q.Pop() // op 1
+	pop(q) // op 1
 	w2, ok := q.OldestWall()
 	if !ok || w2 < w1 {
 		t.Fatalf("barrier head wall %d went backwards from %d (ok=%v)", w2, w1, ok)
 	}
 
-	q.Pop() // barrier
+	pop(q) // barrier
 	w3, ok := q.OldestWall()
 	if !ok || w3 < w2 {
 		t.Fatalf("final head wall %d went backwards from %d (ok=%v)", w3, w2, ok)
 	}
 
-	q.Pop() // op 2
+	pop(q) // op 2
 	if _, ok := q.OldestWall(); ok {
 		t.Fatal("OldestWall still reporting after drain")
 	}

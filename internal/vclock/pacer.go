@@ -96,9 +96,6 @@ func (p *Pacer) recomputeMin() {
 	}
 }
 
-// Window returns the pacer's skew window.
-func (p *Pacer) Window() Duration { return p.window }
-
 // Advance records participant id's clock and blocks while it is more
 // than Window ahead of the slowest live participant. Call it before
 // issuing each operation.
